@@ -47,9 +47,9 @@ guess = ObddProgram(
     order=natural_order(3),
     widths=(1, 2, 2, 2),
     levels=(
-        level_relation([[0]], [[0, 1]]),
-        level_relation([[0], [1]], [[0, 1], [1]]),
-        level_relation([[0], [1]], [[0, 1], [1]]),
+        level_relation([[0]], [[0, 1]], 2),
+        level_relation([[0], [1]], [[0, 1], [1]], 2),
+        level_relation([[0], [1]], [[0, 1], [1]], 2),
     ),
     initial=0,
     accept=frozenset({1}),

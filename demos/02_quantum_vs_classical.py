@@ -5,7 +5,7 @@ oracle and, independently, by exhaustive search over stable programs."""
 
 from obddlab import AcceptanceMode, computes, program_width, simulate
 from obddlab.constructions import build_det_partialmod, build_quantum_partialmod
-from obddlab.functions import count_profile, partial_mod
+from obddlab.functions import partial_mod
 from obddlab.oracles import (
     distinguishability_lower_bound,
     min_width_over_orders,
@@ -16,7 +16,7 @@ from obddlab.oracles import (
 k, n = 1, 8
 f = partial_mod(k, n)
 print(f"PartialMOD with k={k} on {n} bits; count classes:")
-print("  ", count_profile(f), "(None = promise violated, unconstrained)")
+print("  ", f.count_profile(), "(None = promise violated, unconstrained)")
 
 print()
 quantum = build_quantum_partialmod(k, n)

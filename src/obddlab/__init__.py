@@ -12,7 +12,6 @@ from .core import (
     CapExceededError,
     ComputesResult,
     InvalidProgramError,
-    LevelTransition,
     ModeKindMismatchError,
     NotStableError,
     ObddError,
@@ -21,6 +20,7 @@ from .core import (
     StateVector,
     ValidationReport,
     VariableOrder,
+    acceptance_table,
     computes,
     level_map,
     level_relation,
@@ -42,7 +42,6 @@ from .functions import (
     STAR,
     FunctionSpec,
     MarkerValueSplit,
-    count_profile,
     eqs,
     format_truth_table,
     from_table,
@@ -57,7 +56,6 @@ from .functions import (
     partial_mod,
     read_truth_table,
     split_marker_value,
-    write_truth_table,
 )
 from .constructions import (
     PrimeBasis,
@@ -76,7 +74,6 @@ from .constructions import (
 from .oracles import (
     PrefixClass,
     WidthReport,
-    construction_report,
     distinguishability_lower_bound,
     min_width_over_orders,
     minimal_obdd,
@@ -96,8 +93,6 @@ from .serialize import (
     ProgramFormatError,
     decode_program,
     encode_program,
-    read_program,
-    write_program,
 )
 from .reports import REPORT_TASKS, ReportTable, SeparationRow, run_report
 

@@ -8,6 +8,7 @@ verify/report/markov verdict is negative or inconclusive, 1 on errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import constructions as cons
@@ -32,7 +33,7 @@ from .oracles import (
     subfunction_widths,
 )
 from .markov import classify_states, period_lcm_certificate
-from .reports import run_report
+from .reports import REPORT_TASKS, run_report
 from .serialize import decode_program, encode_program
 
 _BUILDERS = {
@@ -121,7 +122,7 @@ def _cmd_verify(args) -> int:
         mode = AcceptanceMode.nondeterministic(args.cutoff)
     else:
         mode = AcceptanceMode(mode_name)
-    result = computes(program, f, mode, classwise=args.classwise)
+    result = computes(program, f, mode)
     if result.ok:
         print(f"yes: program computes {f.name} (n={f.n}) in {args.mode} mode")
         return 0
@@ -168,23 +169,15 @@ def _cmd_minwidth(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # each task takes the options named like its parameters; options left
+    # unset fall back to the task's own defaults
     params = {}
-    if args.task in ("separation-quantum-classical", "markov-analysis"):
-        if args.k is None:
-            raise ValueError(f"--k is required for {args.task}")
-        params["k"] = args.k
-        if args.n is not None:
-            params["n"] = args.n
-    elif args.task == "separation-nondet":
-        if args.n is None:
-            raise ValueError("--n is required for separation-nondet")
-        params["n"] = args.n
-    elif args.task == "hierarchy-small":
-        params["d_min"], params["d_max"] = args.d_min, args.d_max
-    elif args.task == "hierarchy-large":
-        params["d"] = args.d
-        if args.n is not None:
-            params["n"] = args.n
+    for name, param in inspect.signature(REPORT_TASKS[args.task]).parameters.items():
+        value = getattr(args, name)
+        if value is not None:
+            params[name] = value
+        elif param.default is inspect.Parameter.empty:
+            raise ValueError(f"--{name.replace('_', '-')} is required for {args.task}")
     table = run_report(args.task, **params)
     _emit(table.to_csv() if args.format == "csv" else table.to_markdown(), args.out)
     return 0 if table.all_hold else 2
@@ -246,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["deterministic", "exact", "bounded-error", "nondeterministic"])
     v.add_argument("--epsilon", type=float, default=None)
     v.add_argument("--cutoff", type=float, default=0.0)
-    v.add_argument("--classwise", action="store_true",
-                   help="check one representative per count class (symmetric families)")
     v.set_defaults(run=_cmd_verify)
 
     m = sub.add_parser("minwidth", help="run a width oracle on a function")
@@ -267,14 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
     m.set_defaults(run=_cmd_minwidth)
 
     r = sub.add_parser("report", help="emit a separation/hierarchy table")
-    r.add_argument("--task", required=True,
-                   choices=["separation-quantum-classical", "separation-nondet",
-                            "hierarchy-small", "hierarchy-large", "markov-analysis"])
-    r.add_argument("--k", type=int, default=None)
-    r.add_argument("--n", type=int, default=None)
-    r.add_argument("--d", type=int, default=11)
-    r.add_argument("--d-min", type=int, default=2)
-    r.add_argument("--d-max", type=int, default=8)
+    r.add_argument("--task", required=True, choices=list(REPORT_TASKS))
+    for name in ("k", "n", "d", "d-min", "d-max"):
+        r.add_argument(f"--{name}", type=int, default=None)
     r.add_argument("--format", default="md", choices=["md", "csv"])
     r.add_argument("--out", default=None)
     r.set_defaults(run=_cmd_report)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    LevelTransition,
     ObddProgram,
     VariableOrder,
     level_map,
@@ -168,13 +167,15 @@ def build_nobdd_noto_fingerprint(k: int, n: int) -> ObddProgram:
     first = level_relation(
         [[node(i, 0) for i in range(len(primes))]],
         [[node(i, 1 % p) for i, p in enumerate(primes)]],
+        width,
     )
     count = level_relation(
         [[node(i, c)] for i, p in enumerate(primes) for c in range(p)],
         [[node(i, (c + 1) % p)] for i, p in enumerate(primes) for c in range(p)],
+        width,
     )
     idle_rows = [[s] for s in range(width)]
-    idle = level_relation(idle_rows, idle_rows)
+    idle = level_relation(idle_rows, idle_rows, width)
 
     levels = (first,) + (count,) * (k - 1) + (idle,) * (n - k)
     accept = frozenset(
@@ -232,13 +233,16 @@ def build_nobdd_noteqs_fingerprint(k: int, n: int) -> ObddProgram:
     overflow_odd = len(odd_nodes)
     odd_index = {s: x for x, s in enumerate(odd_nodes)}
 
-    def read_marker() -> LevelTransition:
+    even_width = len(even_nodes) + 1
+    odd_width = len(odd_nodes) + 1
+
+    def read_marker() -> np.ndarray:
         rows = [[], []]
         for sym in (0, 1):
             rows[sym] = [[odd_index[s + (sym,)]] for s in even_nodes] + [[overflow_odd]]
-        return level_relation(rows[0], rows[1])
+        return level_relation(rows[0], rows[1], odd_width)
 
-    def read_value() -> LevelTransition:
+    def read_value() -> np.ndarray:
         rows = [[], []]
         for sym in (0, 1):
             out = []
@@ -256,18 +260,17 @@ def build_nobdd_noteqs_fingerprint(k: int, n: int) -> ObddProgram:
                         out.append([even_index[(i, (r - sym * inv_pow[i][b + 1]) % p, a, b + 1)]])
             out.append([overflow_even])
             rows[sym] = out
-        return level_relation(rows[0], rows[1])
+        return level_relation(rows[0], rows[1], even_width)
 
     first = level_relation(
         [[odd_index[(i, 0, 0, 0, 0)] for i in range(len(primes))]],
         [[odd_index[(i, 0, 0, 0, 1)] for i in range(len(primes))]],
+        odd_width,
     )
     marker = read_marker()
     value = read_value()
-    even_width = len(even_nodes) + 1
-    odd_width = len(odd_nodes) + 1
     idle_rows = [[s] for s in range(even_width)]
-    idle = level_relation(idle_rows, idle_rows)
+    idle = level_relation(idle_rows, idle_rows, even_width)
 
     levels = [first]
     for j in range(2, k + 1):

@@ -5,28 +5,38 @@ A program is a layered graph: level ``j`` (for ``j = 1..n``) tests one input
 bit and maps the ``w[j-1]`` nodes of level ``j-1`` to the ``w[j]`` nodes of
 level ``j``.  Which bit is tested at step ``j`` is given by a variable order
 ``perm``; the bit tested at step ``j`` is ``x[perm[j-1]]`` (0-based
-positions).  The four flavors differ only in how a level transforms state:
+positions).  Each level is one read-only array that holds the transitions
+of both symbols, and its dtype gives the flavor:
 
 ``deterministic``
-    each node has exactly one successor per symbol (a map).
+    ``int[2, w_in]``: ``t[sym, s]`` is the one successor of node ``s``.
 ``nondeterministic``
-    each node has a *set* of successors per symbol (a relation); the input
-    is accepted iff some path from the initial node ends in an accepting
-    node.
+    ``bool[2, w_out, w_in]``: ``t[sym, u, s]`` says that node ``s`` may
+    move to node ``u``; the input is accepted iff some path from the
+    initial node ends in an accepting node.
 ``probabilistic``
-    each symbol applies a column-stochastic matrix to a probability
-    distribution over nodes; acceptance probability is the final mass on
-    the accepting set.
+    ``float[2, w_out, w_in]``: column-stochastic matrices applied to a
+    probability distribution over nodes; acceptance probability is the
+    final mass on the accepting set.
 ``quantum``
-    each symbol applies a unitary to an amplitude vector; acceptance
-    probability is the squared final amplitude mass on the accepting set.
+    ``complex[2, w_out, w_in]``: unitaries applied to an amplitude vector;
+    acceptance probability is the squared final amplitude mass on the
+    accepting set.
 
 Nodes are numbered ``0..w[j]-1`` within each level.  Matrices act as
-``v_next = M @ v`` with ``M[t, s]`` the weight of the move from source node
-``s`` to target node ``t`` (columns are sources).  A program is *stable*
-when every level carries the identical transition pair, and *ID* when its
-order is the natural one; a stable ID program of fixed width behaves like a
-realtime finite automaton.
+``v_next = M @ v`` with ``M[u, s]`` the weight of the move from source node
+``s`` to target node ``u`` (columns are sources).
+
+One private kernel, :func:`_advance`, moves a batch of states through one
+level on both symbols; a state is a node index, a reachable-set row or a
+state-vector row.  Simulation and the traces run it on one input,
+:func:`acceptance_table` (and with it :func:`computes`) on all ``2**n``
+inputs by prefix doubling, reachability on reachable sets, and validation
+on the basis states.
+
+A program is *stable* when every level carries the identical transition
+pair, and *ID* when its order is the natural one; a stable ID program of
+fixed width behaves like a realtime finite automaton.
 
 All program objects are immutable; every operation here is a pure function
 of its inputs.
@@ -34,7 +44,6 @@ of its inputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -50,6 +59,9 @@ EXACT_TOL = 1e-6
 
 #: hard cap on exhaustive input enumeration in :func:`computes`
 ENUMERATION_CAP = 24
+
+#: :func:`acceptance_table` holds at most ``2**_CHUNK_LEVELS`` states at once
+_CHUNK_LEVELS = 12
 
 Bits = Union[str, Sequence[int]]
 
@@ -79,6 +91,22 @@ class NotStableError(ObddError, ValueError):
 # ---------------------------------------------------------------------------
 
 KINDS = ("deterministic", "nondeterministic", "probabilistic", "quantum")
+
+#: dtype of a batch of state rows (deterministic states are node indices)
+_STATE_DTYPES = {
+    "nondeterministic": bool,
+    "probabilistic": float,
+    "quantum": complex,
+}
+
+#: numpy dtype code of each kind's transition arrays, and what validation
+#: messages call a transition of that code
+_ARRAY_FORMS = {
+    "i": ("deterministic", "map"),
+    "b": ("nondeterministic", "relation"),
+    "f": ("probabilistic", "stochastic"),
+    "c": ("quantum", "unitary"),
+}
 
 
 @dataclass(frozen=True)
@@ -121,95 +149,46 @@ def pairing_order(n: int) -> VariableOrder:
     return VariableOrder(n, tuple(perm))
 
 
-def _as_map(obj) -> tuple[int, ...]:
-    return tuple(int(t) for t in obj)
+def _pair(on0, on1, dtype) -> np.ndarray:
+    a, b = np.asarray(on0, dtype=dtype), np.asarray(on1, dtype=dtype)
+    if a.shape != b.shape:
+        raise ValueError(f"symbol transitions disagree in shape: {a.shape} vs {b.shape}")
+    t = np.stack([a, b])
+    t.setflags(write=False)
+    return t
 
 
-def _as_relation(obj) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(int(t) for t in row) for row in obj)
+def level_map(on0: Iterable[int], on1: Iterable[int]) -> np.ndarray:
+    """Deterministic level ``int[2, w_in]`` from two source-indexed target lists."""
+    return _pair(list(on0), list(on1), np.intp)
 
 
-def transition_shape(obj) -> str:
-    """Classify a raw transition object: map, relation, stochastic or unitary."""
-    if isinstance(obj, np.ndarray):
-        return "unitary" if np.iscomplexobj(obj) else "stochastic"
-    if isinstance(obj, tuple) and (not obj or isinstance(obj[0], frozenset)):
-        return "relation"
-    if isinstance(obj, tuple):
-        return "map"
-    raise TypeError(f"unrecognized transition object {type(obj)!r}")
+def level_relation(on0: Iterable[Iterable[int]], on1: Iterable[Iterable[int]],
+                   width: int) -> np.ndarray:
+    """Nondeterministic level ``bool[2, width, w_in]`` from two source-indexed
+    target-set lists; ``width`` is the size of the target level."""
+    rows = (list(on0), list(on1))
+    if len(rows[0]) != len(rows[1]):
+        raise ValueError("symbol transitions disagree in source dimension")
+    t = np.zeros((2, width, len(rows[0])), dtype=bool)
+    for sym, per_source in enumerate(rows):
+        for s, targets in enumerate(per_source):
+            for u in targets:
+                if not 0 <= u < width:
+                    raise ValueError(f"symbol {sym}: node {s} maps to {u} outside 0..{width - 1}")
+                t[sym, u, s] = True
+    t.setflags(write=False)
+    return t
 
 
-@dataclass(frozen=True)
-class LevelTransition:
-    """The pair of per-symbol transitions applied at one level.
-
-    ``on0``/``on1`` must share a shape class and dimensions: maps and
-    relations are tuples indexed by source node; matrices are
-    ``(targets, sources)`` arrays.
-    """
-
-    on0: object
-    on1: object
-
-    def __post_init__(self):
-        s0, s1 = transition_shape(self.on0), transition_shape(self.on1)
-        if s0 != s1:
-            raise ValueError(f"symbol transitions disagree in shape: {s0} vs {s1}")
-        if s0 in ("stochastic", "unitary"):
-            if self.on0.shape != self.on1.shape:
-                raise ValueError("symbol matrices disagree in dimensions")
-            for a in (self.on0, self.on1):
-                a.setflags(write=False)
-        elif len(self.on0) != len(self.on1):
-            raise ValueError("symbol transitions disagree in source dimension")
-
-    @property
-    def shape_class(self) -> str:
-        return transition_shape(self.on0)
-
-    @property
-    def source_dim(self) -> int:
-        if self.shape_class in ("stochastic", "unitary"):
-            return self.on0.shape[1]
-        return len(self.on0)
-
-    def target_dim(self) -> int | None:
-        """Target dimension, when intrinsic (matrices only)."""
-        if self.shape_class in ("stochastic", "unitary"):
-            return self.on0.shape[0]
-        return None
-
-    def on(self, symbol: int):
-        return self.on1 if symbol else self.on0
+def level_stochastic(on0, on1) -> np.ndarray:
+    """Probabilistic level ``float[2, w_out, w_in]`` from two column-stochastic matrices."""
+    return _pair(on0, on1, float)
 
 
-def level_map(on0: Iterable[int], on1: Iterable[int]) -> LevelTransition:
-    """Deterministic level from two source-indexed target lists."""
-    return LevelTransition(_as_map(on0), _as_map(on1))
-
-
-def level_relation(on0: Iterable[Iterable[int]], on1: Iterable[Iterable[int]]) -> LevelTransition:
-    """Nondeterministic level from two source-indexed target-set lists."""
-    return LevelTransition(_as_relation(on0), _as_relation(on1))
-
-
-def level_stochastic(on0, on1) -> LevelTransition:
-    """Probabilistic level from two column-stochastic matrices."""
-    return LevelTransition(np.array(on0, dtype=float), np.array(on1, dtype=float))
-
-
-def level_unitary(on0, on1) -> LevelTransition:
-    """Quantum level from two unitary matrices."""
-    return LevelTransition(np.array(on0, dtype=complex), np.array(on1, dtype=complex))
-
-
-_KIND_SHAPES = {
-    "deterministic": "map",
-    "nondeterministic": "relation",
-    "probabilistic": "stochastic",
-    "quantum": "unitary",
-}
+def level_unitary(on0, on1) -> np.ndarray:
+    """Quantum level ``complex[2, w, w]`` from two unitary matrices."""
+    return _pair(on0, on1, complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +205,9 @@ class ObddProgram:
     widths : tuple of int
         ``n + 1`` level sizes ``w[0] .. w[n]`` (ragged levels are allowed;
         the paper-style single width is ``max(widths)``).
-    levels : tuple of LevelTransition
-        ``n`` transitions; ``levels[j-1]`` maps level ``j-1`` to level ``j``.
+    levels : tuple of np.ndarray
+        ``n`` transition arrays (module docstring); ``levels[j-1]`` maps
+        level ``j-1`` to level ``j``.
     initial : int
         Start node in level 0 (a basis state for the vector kinds).
     accept : frozenset of int
@@ -239,14 +219,14 @@ class ObddProgram:
     kind: str
     order: VariableOrder
     widths: tuple[int, ...]
-    levels: tuple[LevelTransition, ...]
+    levels: tuple[np.ndarray, ...]
     initial: int
     accept: frozenset[int]
     stable: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        object.__setattr__(self, "levels", tuple(self.levels))
+        object.__setattr__(self, "levels", tuple(np.asarray(t) for t in self.levels))
         object.__setattr__(self, "accept", frozenset(int(a) for a in self.accept))
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
@@ -255,8 +235,8 @@ class ObddProgram:
     def n(self) -> int:
         return self.order.n
 
-    def level(self, j: int) -> LevelTransition:
-        """Transition applied at step ``j`` (1-based)."""
+    def level(self, j: int) -> np.ndarray:
+        """Transition array applied at step ``j`` (1-based)."""
         return self.levels[j - 1]
 
     def require_valid(self) -> None:
@@ -291,6 +271,7 @@ class AcceptanceMode:
     ``1/2 + eps`` on 1-inputs and at most ``1/2 - eps`` on 0-inputs;
     ``nondeterministic(cutoff)`` treats probability above ``cutoff`` as
     acceptance (``cutoff = 0`` is the classical existing-path test).
+    The tests apply elementwise to arrays of probabilities.
     """
 
     variant: str
@@ -352,6 +333,70 @@ MODE_KINDS = {
 
 
 # ---------------------------------------------------------------------------
+# the stepping kernel
+# ---------------------------------------------------------------------------
+
+def _advance(t: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The batch ``states`` after one level, on symbol 0 and on symbol 1.
+
+    This is the only code that applies a transition.  States are node
+    indices ``int[B]`` (deterministic), reachable-set rows ``bool[B, w_in]``
+    or vector rows ``float/complex[B, w_in]``; the result stacks the two
+    successor batches, of shape ``(2, B)`` or ``(2, B, w_out)``.
+    """
+    if t.ndim == 2:
+        return t[:, states]
+    if t.dtype == bool:
+        # the 0/1 product runs on BLAS in float32, exactly (the counts stay
+        # far below 2**24); numpy's boolean matmul has no BLAS path
+        return states.astype(np.float32) @ t.transpose(0, 2, 1).astype(np.float32) > 0
+    return states @ t.transpose(0, 2, 1)
+
+
+def _basis(kind: str, w: int) -> np.ndarray:
+    """The batch of all ``w`` single-node states of a level."""
+    if kind == "deterministic":
+        return np.arange(w)
+    return np.eye(w, dtype=_STATE_DTYPES[kind])
+
+
+def _start(p: "ObddProgram") -> np.ndarray:
+    return _basis(p.kind, p.widths[0])[[p.initial]]
+
+
+def _double(levels: Sequence[np.ndarray], states: np.ndarray) -> np.ndarray:
+    """Every extension of each state in the batch through ``levels``; the
+    extension of state ``b`` by symbols ``s1 s2 ...`` lands at index
+    ``b * 2**len(levels) + int('s1s2...', 2)``."""
+    for t in levels:
+        images = _advance(t, states)
+        states = images.swapaxes(0, 1).reshape(-1, *images.shape[2:])
+    return states
+
+
+def _acceptance(p: "ObddProgram", states: np.ndarray) -> np.ndarray:
+    """Acceptance probability of each final-level state in a batch."""
+    idx = sorted(p.accept)
+    if p.kind == "deterministic":
+        return np.isin(states, idx).astype(float)
+    if p.kind == "nondeterministic":
+        return states[:, idx].any(axis=1).astype(float)
+    if p.kind == "quantum":
+        return np.sum(np.abs(states[:, idx]) ** 2, axis=1)
+    return np.sum(states[:, idx], axis=1)
+
+
+def cube_transpose(values: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Reorder a ``2**n`` table by permuting the axes of its ``(2,) * n`` cube.
+
+    With ``axes = perm`` an input-indexed table becomes indexed by the
+    bits in test order; ``argsort(perm)`` goes back.
+    """
+    n = values.size.bit_length() - 1
+    return np.ascontiguousarray(values.reshape((2,) * n).transpose(axes)).reshape(-1)
+
+
+# ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
@@ -364,60 +409,56 @@ class ValidationReport:
         return not self.violations
 
 
-def _check_level(kind: str, j: int, t: LevelTransition, w_in: int, w_out: int, out: list[str]):
-    if t.shape_class != _KIND_SHAPES[kind]:
-        out.append(f"level {j}: {t.shape_class} transition in a {kind} program")
+def _check_level(kind: str, j: int, t: np.ndarray, w_in: int, w_out: int, out: list[str]):
+    form, name = _ARRAY_FORMS.get(t.dtype.kind, (None, None))
+    if form != kind:
+        out.append(f"level {j}: {name or t.dtype} transition in a {kind} program")
         return
-    if t.source_dim != w_in:
-        out.append(f"level {j}: source dimension {t.source_dim} != width {w_in}")
+    shape = (2, w_in) if kind == "deterministic" else (2, w_out, w_in)
+    if t.ndim != len(shape) or t.shape[0] != 2:
+        out.append(f"level {j}: transition array of shape {t.shape}, expected {shape}")
         return
+    if t.shape[-1] != w_in:
+        out.append(f"level {j}: source dimension {t.shape[-1]} != width {w_in}")
+        return
+    if t.shape != shape:
+        out.append(f"level {j}: target dimension {t.shape[1]} != width {w_out}")
+        return
+    if kind == "quantum" and w_out != w_in:
+        out.append(f"level {j}: unitary must be square, got {t.shape[1:]}")
+        return
+    if kind == "nondeterministic":
+        return
+    images = _advance(t, _basis(kind, w_in))  # images[sym, s]: node s after sym
     if kind == "deterministic":
-        for sym in (0, 1):
-            for s, tgt in enumerate(t.on(sym)):
-                if not 0 <= tgt < w_out:
-                    out.append(f"level {j} symbol {sym}: node {s} maps to {tgt} outside 0..{w_out - 1}")
-    elif kind == "nondeterministic":
-        for sym in (0, 1):
-            for s, tgts in enumerate(t.on(sym)):
-                bad = [x for x in tgts if not 0 <= x < w_out]
-                if bad:
-                    out.append(f"level {j} symbol {sym}: node {s} maps to {sorted(bad)} outside 0..{w_out - 1}")
+        bad = (images < 0) | (images >= w_out)
+        if bad.any():
+            for sym, s in np.argwhere(bad):
+                out.append(f"level {j} symbol {sym}: node {s} maps to {images[sym, s]} "
+                           f"outside 0..{w_out - 1}")
+    elif kind == "probabilistic":
+        for sym in np.flatnonzero((images < -STRUCT_TOL).any(axis=(1, 2))):
+            out.append(f"level {j} symbol {sym}: negative entries")
+        sums = images.sum(axis=2)
+        bad = np.abs(sums - 1.0) > STRUCT_TOL
+        if bad.any():
+            for sym, col in np.argwhere(bad):
+                out.append(f"level {j} symbol {sym}: column {col} sums to {sums[sym, col]:.6g}")
     else:
-        for sym in (0, 1):
-            m = t.on(sym)
-            if m.shape != (w_out, w_in):
-                out.append(f"level {j} symbol {sym}: matrix shape {m.shape} != ({w_out}, {w_in})")
-                continue
-            if kind == "probabilistic":
-                if np.any(m < -STRUCT_TOL):
-                    out.append(f"level {j} symbol {sym}: negative entries")
-                sums = m.sum(axis=0)
-                for col, s in enumerate(sums):
-                    if abs(s - 1.0) > STRUCT_TOL:
-                        out.append(f"level {j} symbol {sym}: column {col} sums to {s:.6g}")
-            else:
-                if w_out != w_in:
-                    out.append(f"level {j} symbol {sym}: unitary must be square, got {m.shape}")
-                    continue
-                defect = np.max(np.abs(m.conj().T @ m - np.eye(w_in)))
-                if defect > STRUCT_TOL:
-                    out.append(f"level {j} symbol {sym}: not unitary (max |U*U - I| = {defect:.3g})")
-
-
-def _levels_identical(a: LevelTransition, b: LevelTransition) -> bool:
-    if a.shape_class != b.shape_class:
-        return False
-    if a.shape_class in ("stochastic", "unitary"):
-        return np.array_equal(a.on0, b.on0) and np.array_equal(a.on1, b.on1)
-    return a.on0 == b.on0 and a.on1 == b.on1
+        gram = images.conj() @ images.transpose(0, 2, 1)
+        defects = np.abs(gram - np.eye(w_in)).max(axis=(1, 2))
+        for sym in np.flatnonzero(defects > STRUCT_TOL):
+            out.append(f"level {j} symbol {sym}: not unitary "
+                       f"(max |U*U - I| = {defects[sym]:.3g})")
 
 
 def validate_program(p: ObddProgram) -> ValidationReport:
     """Check every structural invariant of a program; never raises.
 
-    Returns a report listing violations: dimension mismatches,
-    non-stochastic columns, non-unitary matrices, out-of-range initial or
-    accepting nodes, and a stable flag set on a non-stable program.
+    Returns a report listing violations: transition arrays of the wrong
+    dtype or shape, out-of-range targets, non-stochastic columns,
+    non-unitary matrices, out-of-range initial or accepting nodes, and a
+    stable flag set on a non-stable program.
     """
     out: list[str] = []
     n = p.n
@@ -426,6 +467,7 @@ def validate_program(p: ObddProgram) -> ValidationReport:
         return ValidationReport(tuple(out))
     if any(w < 1 for w in p.widths):
         out.append("level widths must be positive")
+        return ValidationReport(tuple(out))
     if len(p.levels) != n:
         out.append(f"expected {n} level transitions, got {len(p.levels)}")
         return ValidationReport(tuple(out))
@@ -434,14 +476,21 @@ def validate_program(p: ObddProgram) -> ValidationReport:
     bad_accept = [a for a in p.accept if not 0 <= a < p.widths[n]]
     if bad_accept:
         out.append(f"accepting nodes {sorted(bad_accept)} outside 0..{p.widths[n] - 1}")
+    # stable programs repeat one array object, which needs checking once
+    clean = set()
     for j in range(1, n + 1):
-        _check_level(p.kind, j, p.level(j), p.widths[j - 1], p.widths[j], out)
+        key = (id(p.level(j)), p.widths[j - 1], p.widths[j])
+        if key not in clean:
+            found = len(out)
+            _check_level(p.kind, j, p.level(j), p.widths[j - 1], p.widths[j], out)
+            if len(out) == found:
+                clean.add(key)
     if p.stable:
         if len(set(p.widths)) != 1:
             out.append("stable flag set but level widths vary")
         first = p.levels[0]
         for j in range(2, n + 1):
-            if not _levels_identical(first, p.level(j)):
+            if p.level(j) is not first and not np.array_equal(first, p.level(j)):
                 out.append(f"stable flag set but level {j} differs from level 1")
                 break
     return ValidationReport(tuple(out))
@@ -466,9 +515,15 @@ def parse_bits(bits: Bits, n: int | None = None) -> tuple[int, ...]:
     return vals
 
 
-def _symbols(p: ObddProgram, x: tuple[int, ...]):
-    # symbol consumed at step j is the input bit at tested position perm[j-1]
-    return (x[pos] for pos in p.order.perm)
+def _path(p: ObddProgram, bits: Bits) -> list[np.ndarray]:
+    """Batch-of-one states before and after every step on one input."""
+    p.require_valid()
+    x = parse_bits(bits, p.n)
+    states = [_start(p)]
+    # the symbol consumed at step j is the input bit at tested position perm[j-1]
+    for t, pos in zip(p.levels, p.order.perm):
+        states.append(_advance(t, states[-1])[x[pos]])
+    return states
 
 
 def simulate(p: ObddProgram, bits: Bits) -> float:
@@ -479,78 +534,47 @@ def simulate(p: ObddProgram, bits: Bits) -> float:
     propagation, no floating point); the vector kinds return final mass on
     the accepting set.
     """
-    p.require_valid()
-    x = parse_bits(bits, p.n)
-    if p.kind == "deterministic":
-        node = p.initial
-        for j, sym in enumerate(_symbols(p, x), start=1):
-            node = p.level(j).on(sym)[node]
-        return 1.0 if node in p.accept else 0.0
-    if p.kind == "nondeterministic":
-        current: frozenset[int] = frozenset((p.initial,))
-        for j, sym in enumerate(_symbols(p, x), start=1):
-            rel = p.level(j).on(sym)
-            current = frozenset(itertools.chain.from_iterable(rel[s] for s in current))
-            if not current:
-                return 0.0
-        return 1.0 if current & p.accept else 0.0
-    v = _initial_vector(p)
-    for j, sym in enumerate(_symbols(p, x), start=1):
-        v = p.level(j).on(sym) @ v
-    return _accept_mass(p, v)
-
-
-def _initial_vector(p: ObddProgram) -> np.ndarray:
-    dtype = complex if p.kind == "quantum" else float
-    v = np.zeros(p.widths[0], dtype=dtype)
-    v[p.initial] = 1.0
-    return v
-
-
-def _accept_mass(p: ObddProgram, v: np.ndarray) -> float:
-    idx = sorted(p.accept)
-    if p.kind == "quantum":
-        return float(np.sum(np.abs(v[idx]) ** 2))
-    return float(np.sum(v[idx]))
+    return float(_acceptance(p, _path(p, bits)[-1])[0])
 
 
 def state_trace(p: ObddProgram, bits: Bits) -> list[StateVector]:
     """Per-level state vectors ``v^0 .. v^n`` for the vector kinds."""
     if p.kind not in ("probabilistic", "quantum"):
         raise ValueError("state_trace applies to probabilistic/quantum programs")
-    p.require_valid()
-    x = parse_bits(bits, p.n)
     quantum = p.kind == "quantum"
-    v = _initial_vector(p)
-    trace = [StateVector(v, quantum)]
-    for j, sym in enumerate(_symbols(p, x), start=1):
-        v = p.level(j).on(sym) @ v
-        trace.append(StateVector(v, quantum))
-    return trace
+    return [StateVector(states[0], quantum) for states in _path(p, bits)]
 
 
 def node_trace(p: ObddProgram, bits: Bits) -> list:
     """Per-level node (deterministic) or reachable node set (nondeterministic)."""
     if p.kind == "deterministic":
-        p.require_valid()
-        x = parse_bits(bits, p.n)
-        node = p.initial
-        out = [node]
-        for j, sym in enumerate(_symbols(p, x), start=1):
-            node = p.level(j).on(sym)[node]
-            out.append(node)
-        return out
+        return [int(states[0]) for states in _path(p, bits)]
     if p.kind == "nondeterministic":
-        p.require_valid()
-        x = parse_bits(bits, p.n)
-        cur = frozenset((p.initial,))
-        out = [cur]
-        for j, sym in enumerate(_symbols(p, x), start=1):
-            rel = p.level(j).on(sym)
-            cur = frozenset(itertools.chain.from_iterable(rel[s] for s in cur))
-            out.append(cur)
-        return out
+        return [frozenset(np.flatnonzero(states[0]).tolist()) for states in _path(p, bits)]
     raise ValueError("node_trace applies to deterministic/nondeterministic programs")
+
+
+def acceptance_table(p: ObddProgram) -> np.ndarray:
+    """Acceptance probability of ``p`` on every input, as ``float[2**n]``
+    indexed like ``FunctionSpec.truth_table`` (first bit most significant).
+
+    Prefix doubling in test order: after step ``j`` the batch holds the
+    states of all ``2**j`` prefixes, so the cube costs ``n`` vectorized
+    steps instead of ``n * 2**n`` scalar ones.  Past ``2**_CHUNK_LEVELS``
+    states the last ``_CHUNK_LEVELS`` steps run once per prefix of the
+    earlier ones, which bounds memory at ``n = ENUMERATION_CAP``.
+    """
+    p.require_valid()
+    n = p.n
+    if n > ENUMERATION_CAP:
+        raise CapExceededError(f"exhaustive check needs n <= {ENUMERATION_CAP}, got {n}")
+    head = max(0, n - _CHUNK_LEVELS)
+    prefixes = _double(p.levels[:head], _start(p))
+    table = np.concatenate([
+        _acceptance(p, _double(p.levels[head:], prefixes[i:i + 1]))
+        for i in range(len(prefixes))
+    ])
+    return cube_transpose(table, np.argsort(p.order.perm))
 
 
 # ---------------------------------------------------------------------------
@@ -569,61 +593,28 @@ class ComputesResult:
         return self.ok
 
 
-def _class_representatives(f) -> list[tuple[int, str]]:
-    # one representative input per count class; sound for programs whose
-    # per-symbol transitions commute (rotations, counters), cheap everywhere
-    n = f.n
-    if f.symmetry == "ones":
-        return [(m, "1" * m + "0" * (n - m)) for m in range(n + 1)]
-    if f.symmetry == "prefix_ones":
-        k = f.k
-        return [(m, "1" * m + "0" * (k - m) + "0" * (n - k)) for m in range(k + 1)]
-    raise ValueError(f"{f.name} carries no symmetry metadata; classwise check unsound")
-
-
-def computes(p: ObddProgram, f, mode: AcceptanceMode, *, classwise: bool = False) -> ComputesResult:
+def computes(p: ObddProgram, f, mode: AcceptanceMode) -> ComputesResult:
     """Does ``p`` compute ``f`` under ``mode``?
 
     Every input with ``f = 1`` must satisfy the mode's accept side and every
     ``f = 0`` input its reject side; inputs where ``f`` is undefined are
-    unconstrained.  By default all ``2**n`` inputs are enumerated (capped at
-    ``n <= 24``); with ``classwise=True`` only one representative per count
-    class of a symmetric function is simulated.
+    unconstrained.  All ``2**n`` inputs are checked at once through
+    :func:`acceptance_table` (``n <= ENUMERATION_CAP``); the counterexample
+    is the failing input of smallest index.
     """
     if p.n != f.n:
         raise ValueError(f"program has n = {p.n} but function has n = {f.n}")
     if p.kind not in MODE_KINDS[mode.variant]:
         raise ModeKindMismatchError(f"{mode.variant} mode cannot judge a {p.kind} program")
-    p.require_valid()
-
-    if classwise:
-        profile = f.count_profile()
-        if profile is None:
-            raise ValueError(f"{f.name} is not symmetric; classwise check unavailable")
-        for m, rep in _class_representatives(f):
-            want = profile[m]
-            if want is None:
-                continue
-            prob = simulate(p, rep)
-            good = mode.accepts_yes(prob) if want == 1 else mode.accepts_no(prob)
-            if not good:
-                return ComputesResult(False, rep, f"count class {m}: f = {want}, acceptance {prob:.6g}")
-        return ComputesResult(True)
-
-    n = f.n
-    if n > ENUMERATION_CAP:
-        raise CapExceededError(f"exhaustive check needs n <= {ENUMERATION_CAP}, got {n}")
+    prob = acceptance_table(p)
     table = f.truth_table()
-    for i in range(1 << n):
-        want = int(table[i])
-        if want == 2:
-            continue
-        rep = format(i, f"0{n}b")
-        prob = simulate(p, rep)
-        good = mode.accepts_yes(prob) if want == 1 else mode.accepts_no(prob)
-        if not good:
-            return ComputesResult(False, rep, f"f = {want} but acceptance {prob:.6g}")
-    return ComputesResult(True)
+    wrong = np.flatnonzero(((table == 1) & ~mode.accepts_yes(prob))
+                           | ((table == 0) & ~mode.accepts_no(prob)))
+    if wrong.size == 0:
+        return ComputesResult(True)
+    i = int(wrong[0])
+    return ComputesResult(False, format(i, f"0{p.n}b"),
+                          f"f = {table[i]} but acceptance {prob[i]:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -652,20 +643,16 @@ def program_width(p: ObddProgram) -> ProgramWidths:
     per_level = p.widths
     reach_counts = None
     if p.kind in ("deterministic", "nondeterministic"):
-        cur = {p.initial}
+        reach = _start(p)
         counts = [1]
-        for j in range(1, p.n + 1):
-            t = p.level(j)
-            nxt: set[int] = set()
-            for sym in (0, 1):
-                tr = t.on(sym)
-                if p.kind == "deterministic":
-                    nxt.update(tr[s] for s in cur)
-                else:
-                    for s in cur:
-                        nxt.update(tr[s])
-            cur = nxt
-            counts.append(len(cur))
+        for t in p.levels:
+            images = _advance(t, reach)
+            if p.kind == "deterministic":
+                reach = np.flatnonzero(np.bincount(images.ravel()))  # node indices
+                counts.append(reach.size)
+            else:
+                reach = images.any(axis=(0, 1))[None]   # one reachable-set row
+                counts.append(int(reach.sum()))
         reach_counts = tuple(counts)
     return ProgramWidths(
         per_level=per_level,
@@ -691,39 +678,39 @@ def nobdd_to_obdd_subset(p: ObddProgram, *, subset_cap: int = 1 << 16) -> ObddPr
         raise ValueError("subset construction applies to nondeterministic programs")
     p.require_valid()
 
-    level_subsets: list[list[frozenset[int]]] = [[frozenset((p.initial,))]]
-    maps: list[LevelTransition] = []
-    for j in range(1, p.n + 1):
-        t = p.level(j)
-        index: dict[frozenset[int], int] = {}
-        out_maps: list[list[int]] = [[], []]
-        for subset in level_subsets[-1]:
-            for sym in (0, 1):
-                rel = t.on(sym)
-                image = frozenset(itertools.chain.from_iterable(rel[s] for s in subset))
-                if image not in index:
-                    index[image] = len(index)
-                    if len(index) > subset_cap:
-                        raise CapExceededError(
-                            f"subset construction exceeded {subset_cap} nodes at level {j}"
-                        )
-                out_maps[sym].append(index[image])
-        ordered = sorted(index, key=index.get)
-        level_subsets.append(ordered)
-        maps.append(level_map(out_maps[0], out_maps[1]))
+    subsets = _start(p)
+    widths, maps = [1], []
+    for j, t in enumerate(p.levels, start=1):
+        # rows run (subset 0, symbol 0), (subset 0, symbol 1), (subset 1, ...);
+        # each distinct image is numbered by its first row
+        images = _double([t], subsets)
+        _, first, inverse = np.unique(images, axis=0, return_index=True, return_inverse=True)
+        if first.size > subset_cap:
+            raise CapExceededError(f"subset construction exceeded {subset_cap} nodes at level {j}")
+        number = np.empty_like(first)
+        number[np.argsort(first)] = np.arange(first.size)
+        node = number[inverse.reshape(-1)]
+        maps.append(level_map(node[0::2], node[1::2]))
+        subsets = images[np.sort(first)]
+        widths.append(len(subsets))
 
-    accept = frozenset(
-        i for i, subset in enumerate(level_subsets[-1]) if subset & p.accept
-    )
+    accept = np.flatnonzero(subsets[:, sorted(p.accept)].any(axis=1))
     return ObddProgram(
         kind="deterministic",
         order=p.order,
-        widths=tuple(len(s) for s in level_subsets),
+        widths=tuple(widths),
         levels=tuple(maps),
         initial=0,
-        accept=accept,
+        accept=frozenset(accept.tolist()),
         stable=False,
     )
+
+
+def _lift(t: np.ndarray, w_out: int) -> np.ndarray:
+    """The 0/1 column-stochastic matrices of a deterministic level."""
+    m = np.ascontiguousarray(np.eye(w_out)[t].transpose(0, 2, 1))
+    m.setflags(write=False)
+    return m
 
 
 def lift_deterministic(p: ObddProgram) -> ObddProgram:
@@ -731,21 +718,11 @@ def lift_deterministic(p: ObddProgram) -> ObddProgram:
     if p.kind != "deterministic":
         raise ValueError("lift applies to deterministic programs")
     p.require_valid()
-    levels = []
-    for j in range(1, p.n + 1):
-        t = p.level(j)
-        mats = []
-        for sym in (0, 1):
-            m = np.zeros((p.widths[j], p.widths[j - 1]))
-            for s, tgt in enumerate(t.on(sym)):
-                m[tgt, s] = 1.0
-            mats.append(m)
-        levels.append(level_stochastic(mats[0], mats[1]))
     return ObddProgram(
         kind="probabilistic",
         order=p.order,
         widths=p.widths,
-        levels=tuple(levels),
+        levels=tuple(_lift(t, w) for t, w in zip(p.levels, p.widths[1:])),
         initial=p.initial,
         accept=p.accept,
         stable=p.stable,
@@ -763,20 +740,16 @@ def stable_symbol_chain(p: ObddProgram, symbol: int) -> np.ndarray:
     if p.kind not in ("deterministic", "probabilistic"):
         raise ValueError(f"symbol chain is defined for classical chains, not {p.kind}")
     p.require_valid()
-    t = p.levels[0].on(symbol)
-    if p.kind == "probabilistic":
-        return np.array(t, dtype=float)
     w = p.widths[0]
-    m = np.zeros((w, w))
-    for s, tgt in enumerate(t):
-        m[tgt, s] = 1.0
-    return m
+    t = p.levels[0] if p.kind == "probabilistic" else _lift(p.levels[0], w)
+    # column s of the chain is the image of node s
+    return np.ascontiguousarray(_advance(t, np.eye(w))[symbol].T)
 
 
 def programs_structurally_equal(a: ObddProgram, b: ObddProgram) -> bool:
-    """Field-by-field equality (exact array comparison for the vector kinds)."""
+    """Field-by-field equality (exact array comparison of the levels)."""
     if (a.kind, a.order, a.widths, a.initial, a.accept, a.stable) != (
         b.kind, b.order, b.widths, b.initial, b.accept, b.stable
     ):
         return False
-    return all(_levels_identical(x, y) for x, y in zip(a.levels, b.levels))
+    return all(np.array_equal(x, y) for x, y in zip(a.levels, b.levels))

@@ -130,11 +130,6 @@ def _rep(m: int, length: int) -> tuple[int, ...]:
     return (1,) * m + (0,) * (length - m)
 
 
-def count_profile(f: FunctionSpec) -> dict[int, int | None] | None:
-    """Module-level alias for :meth:`FunctionSpec.count_profile`."""
-    return f.count_profile()
-
-
 # ---------------------------------------------------------------------------
 # table helpers
 # ---------------------------------------------------------------------------
@@ -349,10 +344,6 @@ def format_truth_table(f: FunctionSpec) -> str:
         v = int(table[i])
         rows.append(f"{format(i, f'0{f.n}b')} {'*' if v == STAR else v}")
     return "\n".join(rows) + "\n"
-
-
-def write_truth_table(f: FunctionSpec, stream: IO[str]) -> None:
-    stream.write(format_truth_table(f))
 
 
 def from_table(values: np.ndarray, name: str = "table") -> FunctionSpec:

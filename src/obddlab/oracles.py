@@ -52,6 +52,7 @@ from .core import (
     CapExceededError,
     ObddProgram,
     VariableOrder,
+    cube_transpose,
     level_map,
     level_relation,
     natural_order,
@@ -106,16 +107,6 @@ class WidthReport:
             raise ValueError("max_width must equal max(per_level)")
 
 
-def construction_report(widths) -> WidthReport:
-    """Wrap :func:`obddlab.core.program_width` output as a WidthReport."""
-    return WidthReport(
-        per_level=widths.per_level,
-        max_width=widths.max_width,
-        kind="construction",
-        method="level sizes of a built program",
-    )
-
-
 # ---------------------------------------------------------------------------
 # tables and prefix classes
 # ---------------------------------------------------------------------------
@@ -124,20 +115,29 @@ def _ordered_table(f: FunctionSpec, order: VariableOrder | None) -> tuple[np.nda
     order = order or natural_order(f.n)
     if order.n != f.n:
         raise ValueError(f"order is over n = {order.n} but function has n = {f.n}")
-    table = f.truth_table()
-    if order.is_id:
-        return table, order
-    cube = table.reshape((2,) * f.n)
-    return np.ascontiguousarray(cube.transpose(order.perm)).reshape(-1), order
+    return cube_transpose(f.truth_table(), order.perm), order
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row; keys compare and sort like the row contents."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
 def _classify_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(inverse, first_indices): class id per row, representative row index
     per class.  Class ids follow the sorted order of row contents."""
-    rows = np.ascontiguousarray(rows)
-    void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(void, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
     return inverse.astype(np.int64), first.astype(np.int64)
+
+
+def _star_group_max(class_rows: np.ndarray) -> int:
+    """Most class rows that share one set of undefined suffixes."""
+    groups: dict[bytes, int] = {}
+    for row in class_rows:
+        mask = (row == STAR).tobytes()
+        groups[mask] = groups.get(mask, 0) + 1
+    return max(groups.values())
 
 
 def prefix_classes(f: FunctionSpec, order: VariableOrder | None, level: int) -> list[PrefixClass]:
@@ -172,9 +172,8 @@ def subfunction_widths(f: FunctionSpec, order: VariableOrder | None = None,
         raise ValueError(f"{f.name} is partial; use partial_min_width_exact")
     per_level = []
     for j in range(f.n + 1):
-        rows = table.reshape(1 << j, -1)
-        void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-        per_level.append(len(np.unique(void)))
+        # only the count is needed, and the per-order search calls this n! times
+        per_level.append(len(np.unique(_row_keys(table.reshape(1 << j, -1)))))
     return WidthReport(
         per_level=tuple(per_level),
         max_width=max(per_level),
@@ -205,11 +204,7 @@ def distinguishability_lower_bound(f: FunctionSpec, order: VariableOrder | None 
     for j in range(f.n + 1):
         rows = table.reshape(1 << j, -1)
         _, first = _classify_rows(rows)
-        groups: dict[bytes, int] = {}
-        for i in first:
-            mask = (rows[i] == STAR).tobytes()
-            groups[mask] = groups.get(mask, 0) + 1
-        per_level.append(max(groups.values()))
+        per_level.append(_star_group_max(rows[first]))
     return WidthReport(
         per_level=tuple(per_level),
         max_width=max(per_level),
@@ -265,13 +260,6 @@ class _Levels:
         return all(
             not self.conflict(j, a, b) for a, b in itertools.combinations(block, 2)
         )
-
-    def star_group_max(self, j: int) -> int:
-        groups: dict[bytes, int] = {}
-        for row in self.rows[j]:
-            mask = (row == STAR).tobytes()
-            groups[mask] = groups.get(mask, 0) + 1
-        return max(groups.values())
 
 
 def _canonical_blocks(assignment: dict[int, int], m: int) -> tuple[tuple[int, ...], ...]:
@@ -402,7 +390,7 @@ def _partial_min_width_witness(f, order, *, class_cap: int, n_cap: int):
         raise CapExceededError(f"partial oracle needs n <= {n_cap}, got {f.n}")
     table, order = _ordered_table(f, order)
     levels = _Levels(table, f.n)
-    lower = max(levels.star_group_max(j) for j in range(f.n + 1))
+    lower = max(_star_group_max(rows) for rows in levels.rows)
     upper = max(levels.num_classes(j) for j in range(f.n + 1))
     for w in range(lower, upper + 1):
         witness = _search(levels, w, class_cap)
@@ -589,7 +577,7 @@ def _search_nondet(f: FunctionSpec, w: int) -> ObddProgram | None:
         kind="nondeterministic",
         order=natural_order(n),
         widths=(w,) * (n + 1),
-        levels=(level_relation(rels[0], rels[1]),) * n,
+        levels=(level_relation(rels[0], rels[1], w),) * n,
         initial=0,
         accept=frozenset(accept),
         stable=True,

@@ -32,14 +32,11 @@ Decoding validates the program and reports the offending level.
 
 from __future__ import annotations
 
-from typing import IO
-
 import numpy as np
 
 from .core import (
     InvalidProgramError,
     KINDS,
-    LevelTransition,
     ObddProgram,
     VariableOrder,
     level_map,
@@ -49,10 +46,12 @@ from .core import (
     validate_program,
 )
 
-__all__ = ["encode_program", "decode_program", "write_program", "read_program",
-           "ProgramFormatError"]
+__all__ = ["encode_program", "decode_program", "ProgramFormatError"]
 
 _MAGIC = "obddprogram 1"
+
+#: most entries a decoded level's dense ``(2, w_out, w_in)`` array may hold
+_MAX_LEVEL_ENTRIES = 1 << 24
 
 
 class ProgramFormatError(ValueError):
@@ -86,12 +85,13 @@ def encode_program(p: ObddProgram) -> str:
         t = p.level(j)
         for sym in (0, 1):
             out.append(f"level {j} symbol {sym}")
-            tr = t.on(sym)
+            tr = t[sym]
             if p.kind == "deterministic":
-                out.append(" ".join(map(str, tr)))
+                out.append(" ".join(map(str, tr.tolist())))
             elif p.kind == "nondeterministic":
-                for targets in tr:
-                    out.append(" ".join(map(str, sorted(targets))) if targets else "-")
+                for column in tr.T:
+                    targets = np.flatnonzero(column).tolist()
+                    out.append(" ".join(map(str, targets)) if targets else "-")
             elif p.kind == "probabilistic":
                 for row in tr:
                     out.append(" ".join(_fmt(x) for x in row))
@@ -130,9 +130,22 @@ def _ints(lineno: int, tokens: list[str], what: str) -> list[int]:
         raise ProgramFormatError(lineno, f"{what}: expected integers, got {tokens!r}")
 
 
+def _int_line(r: _Reader, key: str) -> int:
+    lineno, toks = r.keyword(key)
+    if len(toks) != 1:
+        raise ProgramFormatError(lineno, f"'{key}' takes one integer, got {len(toks)} values")
+    return _ints(lineno, toks, key)[0]
+
+
 def decode_program(text: str) -> ObddProgram:
-    """Parse a document back into a program; validation failures raise
-    :class:`~obddlab.core.InvalidProgramError` naming the level."""
+    """Parse a document back into a program.
+
+    Malformed text raises :class:`ProgramFormatError` with its line number,
+    including levels whose dense transition array would exceed
+    ``_MAX_LEVEL_ENTRIES`` entries (rejected at the ``widths`` line, before
+    any allocation); validation failures raise
+    :class:`~obddlab.core.InvalidProgramError` naming the level.
+    """
     r = _Reader(text)
     lineno, line = r.next_line("header")
     if line != _MAGIC:
@@ -142,10 +155,11 @@ def decode_program(text: str) -> ObddProgram:
     if len(toks) != 1 or toks[0] not in KINDS:
         raise ProgramFormatError(lineno, f"kind must be one of {KINDS}")
     kind = toks[0]
-    lineno, toks = r.keyword("n")
-    (n,) = _ints(lineno, toks, "n")
+    n = _int_line(r, "n")
     lineno, toks = r.keyword("order")
     perm = _ints(lineno, toks, "order")
+    if len(perm) != n:
+        raise ProgramFormatError(lineno, f"expected {n} order entries, got {len(perm)}")
     try:
         order = VariableOrder(n, tuple(perm))
     except ValueError as e:
@@ -154,12 +168,18 @@ def decode_program(text: str) -> ObddProgram:
     widths = _ints(lineno, toks, "widths")
     if len(widths) != n + 1:
         raise ProgramFormatError(lineno, f"expected {n + 1} widths, got {len(widths)}")
-    lineno, toks = r.keyword("initial")
-    (initial,) = _ints(lineno, toks, "initial")
+    if min(widths) < 1:
+        raise ProgramFormatError(lineno, "widths must be positive")
+    for j in range(1, n + 1):
+        entries = 2 * widths[j - 1] * (1 if kind == "deterministic" else widths[j])
+        if entries > _MAX_LEVEL_ENTRIES:
+            raise ProgramFormatError(
+                lineno, f"level {j}: {entries} transition entries exceed the bound "
+                        f"{_MAX_LEVEL_ENTRIES}")
+    initial = _int_line(r, "initial")
     lineno, toks = r.keyword("accept")
     accept = [] if toks == ["-"] else _ints(lineno, toks, "accept")
-    lineno, toks = r.keyword("stable")
-    (stable,) = _ints(lineno, toks, "stable")
+    stable = _int_line(r, "stable")
 
     levels = []
     for j in range(1, n + 1):
@@ -170,7 +190,7 @@ def decode_program(text: str) -> ObddProgram:
                     _ints(lineno, toks[2:3], "symbol") != [sym]:
                 raise ProgramFormatError(lineno, f"expected 'level {j} symbol {sym}'")
             per_symbol.append(_read_payload(r, kind, widths[j - 1], widths[j], j, sym))
-        levels.append(_combine(kind, per_symbol))
+        levels.append(_combine(kind, per_symbol, widths[j]))
     r.keyword("end")
 
     p = ObddProgram(
@@ -193,9 +213,14 @@ def _read_payload(r: _Reader, kind: str, w_in: int, w_out: int, j: int, sym: int
         return targets
     if kind == "nondeterministic":
         rows = []
-        for _ in range(w_in):
+        for s in range(w_in):
             lineno, line = r.next_line(f"{where} relation row")
-            rows.append([] if line == "-" else _ints(lineno, line.split(), where))
+            targets = [] if line == "-" else _ints(lineno, line.split(), where)
+            bad = [u for u in targets if not 0 <= u < w_out]
+            if bad:
+                raise ProgramFormatError(
+                    lineno, f"{where}: node {s} maps to {bad} outside 0..{w_out - 1}")
+            rows.append(targets)
         return rows
     rows = []
     for _ in range(w_out):
@@ -217,19 +242,11 @@ def _read_payload(r: _Reader, kind: str, w_in: int, w_out: int, j: int, sym: int
     return rows
 
 
-def _combine(kind: str, per_symbol: list) -> LevelTransition:
+def _combine(kind: str, per_symbol: list, w_out: int) -> np.ndarray:
     if kind == "deterministic":
         return level_map(per_symbol[0], per_symbol[1])
     if kind == "nondeterministic":
-        return level_relation(per_symbol[0], per_symbol[1])
+        return level_relation(per_symbol[0], per_symbol[1], w_out)
     if kind == "probabilistic":
         return level_stochastic(per_symbol[0], per_symbol[1])
-    return level_unitary(np.array(per_symbol[0]), np.array(per_symbol[1]))
-
-
-def write_program(p: ObddProgram, stream: IO[str]) -> None:
-    stream.write(encode_program(p))
-
-
-def read_program(stream: IO[str]) -> ObddProgram:
-    return decode_program(stream.read())
+    return level_unitary(per_symbol[0], per_symbol[1])

@@ -52,12 +52,12 @@ def test_verify_counterexample_exits_2(tmp_path, capsys):
     assert code == 2 and out.startswith("no")
 
 
-def test_verify_quantum_with_classwise(tmp_path, capsys):
+def test_verify_quantum_exhaustively(tmp_path, capsys):
     prog = tmp_path / "q.obdd"
     run(capsys, "build", "--function", "partialmod", "--model", "quantum",
         "--k", "1", "--n", "16", "--out", str(prog))
     code, out, _ = run(capsys, "verify", str(prog), "--function", "partialmod",
-                       "--k", "1", "--n", "16", "--mode", "exact", "--classwise")
+                       "--k", "1", "--n", "16", "--mode", "exact")
     assert code == 0 and out.startswith("yes")
 
 
@@ -100,6 +100,13 @@ def test_report_csv_format(tmp_path, capsys):
                      "--k", "1", "--n", "6", "--format", "csv", "--out", str(out_file))
     assert code == 0
     assert out_file.read_text().startswith("model,function,")
+
+
+def test_report_missing_required_parameter_exits_1(capsys):
+    code, _, err = run(capsys, "report", "--task", "separation-quantum-classical", "--k", "1")
+    assert code == 1 and "--n is required" in err
+    code, _, err = run(capsys, "report", "--task", "markov-analysis")
+    assert code == 1 and "--k is required" in err
 
 
 def test_markov_verdict_exit_codes(tmp_path, capsys):

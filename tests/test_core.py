@@ -194,6 +194,11 @@ def test_simulate_rejects_wrong_length_and_bad_symbols():
         simulate(parity, "10x1")
 
 
+def test_relation_targets_must_fit_the_target_width():
+    with pytest.raises(ValueError):
+        level_relation([[0, 2]], [[0]], 2)
+
+
 def test_simulate_refuses_invalid_program():
     p = ObddProgram(
         kind="deterministic", order=natural_order(1), widths=(1, 1),
@@ -208,8 +213,8 @@ def test_nondeterministic_simulation_is_path_existence():
     p = ObddProgram(
         kind="nondeterministic", order=natural_order(2), widths=(1, 2, 2),
         levels=(
-            level_relation([[0, 1]], [[0, 1]]),
-            level_relation([[0], []], [[0], [1]]),
+            level_relation([[0, 1]], [[0, 1]], 2),
+            level_relation([[0], []], [[0], [1]], 2),
         ),
         initial=0, accept=frozenset({1}),
     )
@@ -269,13 +274,30 @@ def test_wrong_counter_yields_genuine_counterexample():
     assert float(f(cex)) != simulate(mod3, cex)
 
 
-def test_classwise_check_matches_exhaustive_for_symmetric_functions():
+def test_exhaustive_check_accepts_symmetric_constructions():
     p = build_quantum_partialmod(1, 8)
     f = partial_mod(1, 8)
-    assert computes(p, f, AcceptanceMode.exact(), classwise=True).ok
+    assert computes(p, f, AcceptanceMode.exact()).ok
     q = build_nobdd_noto_fingerprint(4, 8)
     g = not_o_prefix(4, 8)
-    assert computes(q, g, AcceptanceMode.nondeterministic(), classwise=True).ok
+    assert computes(q, g, AcceptanceMode.nondeterministic()).ok
+
+
+def test_counterexample_outside_the_sorted_class_representatives():
+    # a stable width-5 program accepting exactly 1^m 0^(4-m) with m even: it
+    # agrees with mod_count(2, 4) on every sorted input 1^m 0^(4-m), so a
+    # check of one sorted representative per count class would say yes
+    a0, a1, z0, z1, rej = range(5)
+    step = level_map([z0, z1, z0, z1, rej], [a1, a0, rej, rej, rej])
+    p = ObddProgram(
+        kind="deterministic", order=natural_order(4), widths=(5,) * 5,
+        levels=(step,) * 4, initial=a0, accept=frozenset({a0, z0}), stable=True,
+    )
+    f = mod_count(2, 4)
+    assert all(simulate(p, "1" * m + "0" * (4 - m)) == f("1" * m + "0" * (4 - m))
+               for m in range(5))
+    verdict = computes(p, f, AcceptanceMode.deterministic())
+    assert not verdict.ok and verdict.counterexample == "0011"
 
 
 def test_mode_kind_mismatch_raises():
@@ -334,7 +356,7 @@ def test_reachable_width_counts_only_reachable_nodes():
 def test_width1_nobdd_determinizes_to_width_at_most_2():
     p = ObddProgram(
         kind="nondeterministic", order=natural_order(3), widths=(1,) * 4,
-        levels=(level_relation([[0]], [[]]),) * 3, initial=0, accept=frozenset({0}),
+        levels=(level_relation([[0]], [[]], 1),) * 3, initial=0, accept=frozenset({0}),
     )
     d = nobdd_to_obdd_subset(p)
     assert program_width(d).max_width <= 2

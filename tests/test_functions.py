@@ -5,7 +5,6 @@ import pytest
 
 from obddlab import STAR
 from obddlab.functions import (
-    count_profile,
     eqs,
     format_truth_table,
     from_table,
@@ -92,21 +91,21 @@ def test_split_marker_value_parameter_checks():
 # ---------------------------------------------------------------------------
 
 def test_mod_profile():
-    assert count_profile(mod_count(3, 6)) == {0: 1, 1: 0, 2: 0, 3: 1, 4: 0, 5: 0, 6: 1}
+    assert mod_count(3, 6).count_profile() == {0: 1, 1: 0, 2: 0, 3: 1, 4: 0, 5: 0, 6: 1}
 
 
 def test_partial_mod_profile_at_k0():
-    assert count_profile(partial_mod(0, 2)) == {0: 1, 1: 0, 2: 1}
+    assert partial_mod(0, 2).count_profile() == {0: 1, 1: 0, 2: 1}
 
 
 def test_not_ok_profile_runs_over_prefix_counts():
-    profile = count_profile(not_o_prefix(4, 10))
+    profile = not_o_prefix(4, 10).count_profile()
     assert profile == {0: 1, 1: 1, 2: 0, 3: 1, 4: 1}
 
 
 def test_eqs_is_not_symmetric():
     f = eqs(4, 8)
-    assert count_profile(f) is None
+    assert f.count_profile() is None
     # two inputs with three ones each but different values
     assert f("01110000") == 1 and f("01101000") == 0
 
@@ -114,7 +113,7 @@ def test_eqs_is_not_symmetric():
 def test_symmetric_metadata_agrees_with_tables():
     # every input in a count class takes the class value
     for f in (partial_mod(1, 6), mod_count(3, 7), not_o(6), not_square(6), not_power(6)):
-        profile = count_profile(f)
+        profile = f.count_profile()
         table = f.truth_table()
         for i in range(1 << f.n):
             want = profile[bin(i).count("1")]
@@ -123,7 +122,7 @@ def test_symmetric_metadata_agrees_with_tables():
 
 def test_prefix_symmetry_agrees_with_tables():
     f = not_o_prefix(4, 7)
-    profile = count_profile(f)
+    profile = f.count_profile()
     table = f.truth_table()
     for i in range(1 << 7):
         prefix_ones = bin(i >> 3).count("1")
@@ -137,7 +136,7 @@ def test_prefix_symmetry_agrees_with_tables():
 @pytest.mark.parametrize("k,n", [(0, 5), (0, 16), (1, 9), (1, 16), (2, 16), (3, 16)])
 def test_partial_mod_class_counts(k, n):
     period, half = 1 << (k + 1), 1 << k
-    profile = count_profile(partial_mod(k, n))
+    profile = partial_mod(k, n).count_profile()
     ones = [m for m, v in profile.items() if v == 1]
     zeros = [m for m, v in profile.items() if v == 0]
     stars = [m for m, v in profile.items() if v is None]

@@ -109,3 +109,41 @@ def test_encode_refuses_invalid_programs():
     )
     with pytest.raises(InvalidProgramError):
         encode_program(bad)
+
+
+@pytest.mark.parametrize("key", ["n", "initial", "stable"])
+@pytest.mark.parametrize("values", ["", " 4 2"])
+def test_decode_single_integer_lines_raise_typed_errors(key, values):
+    lines = encode_program(build_det_mod(2, 4)).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split()[0] == key)
+    lines[at] = key + values
+    with pytest.raises(ProgramFormatError) as err:
+        decode_program("\n".join(lines) + "\n")
+    assert err.value.lineno == at + 1
+
+
+def test_decode_rejects_oversized_dense_levels_at_the_widths_line():
+    text = ("obddprogram 1\nkind nondeterministic\nn 2\norder 0 1\n"
+            "widths 1 4000 4000\ninitial 0\naccept -\nstable 0\n")
+    with pytest.raises(ProgramFormatError) as err:
+        decode_program(text)
+    assert err.value.lineno == 5 and "level 2" in str(err.value)
+
+
+def test_decode_out_of_range_relation_target_names_the_level():
+    p = build_nobdd_noto_fingerprint(4, 6)
+    lines = encode_program(p).splitlines()
+    at = lines.index("level 3 symbol 1") + 1
+    lines[at] = f"0 {p.widths[3]}"
+    with pytest.raises(ProgramFormatError) as err:
+        decode_program("\n".join(lines) + "\n")
+    assert err.value.lineno == at + 1 and "level 3 symbol 1" in str(err.value)
+
+
+def test_decode_rejects_non_positive_widths_at_the_widths_line():
+    lines = encode_program(build_nobdd_noto_fingerprint(4, 6)).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("widths"))
+    lines[at] = "widths 1 0 5 5 5 5 5"
+    with pytest.raises(ProgramFormatError) as err:
+        decode_program("\n".join(lines) + "\n")
+    assert err.value.lineno == at + 1
