@@ -429,6 +429,10 @@ def _check_level(kind: str, j: int, t: np.ndarray, w_in: int, w_out: int, out: l
         return
     if kind == "nondeterministic":
         return
+    if kind != "deterministic" and not np.isfinite(t).all():
+        for sym in np.flatnonzero(~np.isfinite(t).all(axis=(1, 2))):
+            out.append(f"level {j} symbol {sym}: non-finite entries")
+        return
     images = _advance(t, _basis(kind, w_in))  # images[sym, s]: node s after sym
     if kind == "deterministic":
         bad = (images < 0) | (images >= w_out)
@@ -456,9 +460,9 @@ def validate_program(p: ObddProgram) -> ValidationReport:
     """Check every structural invariant of a program; never raises.
 
     Returns a report listing violations: transition arrays of the wrong
-    dtype or shape, out-of-range targets, non-stochastic columns,
-    non-unitary matrices, out-of-range initial or accepting nodes, and a
-    stable flag set on a non-stable program.
+    dtype or shape, non-finite entries, out-of-range targets,
+    non-stochastic columns, non-unitary matrices, out-of-range initial or
+    accepting nodes, and a stable flag set on a non-stable program.
     """
     out: list[str] = []
     n = p.n

@@ -349,10 +349,9 @@ def format_truth_table(f: FunctionSpec) -> str:
 def from_table(values: np.ndarray, name: str = "table") -> FunctionSpec:
     """Wrap an explicit table (codes {0, 1, STAR}) as a FunctionSpec."""
     values = np.asarray(values, dtype=np.int8)
-    size = values.shape[0]
-    n = size.bit_length() - 1
-    if size != 1 << n or values.ndim != 1:
-        raise ValueError(f"table size {values.shape} is not a power of two")
+    n = values.size.bit_length() - 1
+    if values.ndim != 1 or n < 1 or values.size != 1 << n:
+        raise ValueError(f"table shape {values.shape} is not (2**n,) for some n >= 1")
     if not np.all((values == 0) | (values == 1) | (values == STAR)):
         raise ValueError("table entries must be 0, 1 or STAR")
     values = values.copy()

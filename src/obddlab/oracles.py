@@ -4,16 +4,24 @@ These compute, by brute force over truth tables, how wide a program *must*
 be, so that the widths of the explicit constructions can be checked against
 something that knows nothing about how the constructions work.
 
+Under a fixed order, the *row* of a length-``j`` prefix maps suffixes to
+{0, 1, undefined}; prefixes with equal rows form a *class*.  One routine,
+:class:`_Classes`, finds the classes of every level bottom-up, as OBDD
+reduction does (Bryant 1986; Sieling & Wegener 1993): the level-``n``
+classes are the distinct leaf codes, a prefix ``p`` is classed by the pair
+(class of ``p0``, class of ``p1``), and the distinct pairs are the
+successor maps.  The first four oracles read its output.
+
 * :func:`subfunction_widths` -- exact minimal width per level for a *total*
-  function under a fixed order: the number of distinct subfunctions induced
-  by prefixes (the quotient argument).
+  function: the class count (the quotient argument).
 * :func:`distinguishability_lower_bound` -- for partial functions: at each
-  level, the largest set of prefix classes that are pairwise *comparable*
-  (same set of defined suffixes) and *nonequivalent* (some defined suffix
+  level, the largest set of classes that are pairwise *comparable* (same
+  set of defined suffixes) and *nonequivalent* (some defined suffix
   separates them); such classes must occupy distinct nodes.
-* :func:`partial_min_width_exact` -- exact minimal width for a partial
-  function under a fixed order, by searching partition sequences of prefix
-  classes (see below).
+* :func:`partial_min_width_exact` -- minimal width of a (possibly partial)
+  function, by searching partition sequences of classes (see below).
+* :func:`prefix_classes` -- the classes of one level, with a
+  representative prefix and the row of each.
 * :func:`stable_exhaustive_search` -- enumerate every stable ID program of
   a given width and kind, and return one computing the function, or none.
 * :func:`min_width_over_orders` -- minimum of the per-order exact oracle
@@ -21,30 +29,32 @@ something that knows nothing about how the constructions work.
 
 Partition-sequence search
 -------------------------
-Group the length-``j`` prefixes by their *row*: the map from suffixes to
-{0, 1, undefined}.  Prefixes with identical rows may share a node without
-loss of generality, so a width-``w`` program induces, per level, a
-partition of these prefix classes into at most ``w`` blocks such that
+A width-``w`` program is taken to induce, per level, a partition of the
+classes into at most ``w`` blocks such that
 
 (a) every block is *consistent*: no suffix is mapped to 0 by one row of
     the block and 1 by another (undefined entries are free), and
 (b) the 0-successors of a block all land in one block of the next level,
     and likewise the 1-successors.
 
-Conversely any such partition sequence yields a correct program with
-``max_j |P_j|`` nodes per level, so the minimum over sequences is the
-exact minimal width.  The search runs feasibility tests for increasing
-``w``: from a partition, the next level's *forced* partition (the finest
-one satisfying (b)) is computed by union-find; finer partitions dominate
+Any such partition sequence yields a correct program with ``max_j |P_j|``
+nodes per level.  The search runs feasibility tests for increasing ``w``:
+from a partition, the next level's *forced* partition (the finest one
+satisfying (b)) is computed by union-find; finer partitions dominate
 coarser ones, so only when the forced partition exceeds ``w`` blocks does
 the search branch over ways of merging it down to exactly ``w`` consistent
-blocks.
+blocks.  This is exact for total functions.  For partial functions it can
+*overestimate*: "prefixes with identical rows may share a node" does not
+hold there, since the narrowest program may have to split a class over
+several nodes (``partial_mod(1, 5)`` gets 4 where a width-3 program
+exists; see ``bench/README.md``).  The reports still say ``kind="exact"``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,36 +128,101 @@ def _ordered_table(f: FunctionSpec, order: VariableOrder | None) -> tuple[np.nda
     return cube_transpose(f.truth_table(), order.perm), order
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row; keys compare and sort like the row contents."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+def _pair_ranks(left: np.ndarray, right: np.ndarray, k: int):
+    """Rank the pairs ``(left[i], right[i])`` of ids below ``k`` in
+    lexicographic order.  Returns the distinct pairs as sorted keys
+    ``left * k + right``, and the rank of every input pair."""
+    key = left.astype(np.int32 if k * k < 1 << 31 else np.int64)
+    key *= k
+    key += right
+    # np.unique by hand: its wrapper outweighs the sort at the sizes the
+    # order search uses, and its hashing path is slower on large levels
+    pairs = np.sort(key)
+    distinct = np.empty(pairs.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=distinct[1:])
+    pairs = pairs[distinct]
+    return pairs, pairs.searchsorted(key)
 
 
-def _classify_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(inverse, first_indices): class id per row, representative row index
-    per class.  Class ids follow the sorted order of row contents."""
-    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
-    return inverse.astype(np.int64), first.astype(np.int64)
+class _Classes:
+    """The prefix classes of an ordered table at every level ``0..n``.
 
+    * ``ids[j][p]`` -- class of the length-``j`` prefix ``p`` (its bits in
+      test order, read as a number);
+    * ``counts[j]`` -- number of classes at level ``j``;
+    * ``succ[j] = (s0, s1)`` -- class of each class's 0- and 1-extension;
+    * ``leaf[c]`` -- the code {0, 1, STAR} of level-``n`` class ``c``.
 
-def _star_group_max(class_rows: np.ndarray) -> int:
-    """Most class rows that share one set of undefined suffixes."""
-    groups: dict[bytes, int] = {}
-    for row in class_rows:
-        mask = (row == STAR).tobytes()
-        groups[mask] = groups.get(mask, 0) + 1
-    return max(groups.values())
+    Class ids follow the sorted order of the rows: all rows of one level
+    have the same length, so once a level's ids follow row order, so does
+    the order of the pairs ranked one level up.
+    """
+
+    def __init__(self, table: np.ndarray):
+        n = self.n = table.size.bit_length() - 1
+        self.leaf = np.flatnonzero(np.bincount(table, minlength=STAR + 1))
+        self.ids = [None] * n + [self.leaf.searchsorted(table)]
+        self._pairs = [None] * n
+        k = self.leaf.size
+        for j in range(n - 1, -1, -1):
+            below = self.ids[j + 1]
+            self._pairs[j], self.ids[j] = _pair_ranks(below[0::2], below[1::2], k)
+            k = self._pairs[j].size
+        self.counts = [pairs.size for pairs in self._pairs] + [self.leaf.size]
+        self._clash: list[tuple[np.ndarray, list[int]] | None] = [None] * (n + 1)
+
+    @cached_property
+    def succ(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        # split only on demand: the order search reads nothing but counts
+        return [np.divmod(pairs, k) for pairs, k in zip(self._pairs, self.counts[1:])]
+
+    def star_group_maxima(self) -> list[int]:
+        """Per level, the most classes that share one set of undefined
+        suffixes.  Those sets are ranked like the classes, over classes
+        instead of prefixes, from the undefined leaf code up."""
+        group, k = (self.leaf == STAR).astype(np.int64), 2
+        maxima = [int(np.bincount(group).max())]
+        for s0, s1 in reversed(self.succ):
+            pairs, group = _pair_ranks(group[s0], group[s1], k)
+            k = pairs.size
+            maxima.append(int(np.bincount(group).max()))
+        return maxima[::-1]
+
+    def clash(self, j: int) -> list[int]:
+        """Bit ``b`` of entry ``a``: the rows of classes ``a`` and ``b`` at
+        level ``j`` map some suffix one to 0 and the other to 1.  Built from
+        level ``n`` up on first use, as a matrix and as these bit rows."""
+        if self._clash[j] is None:
+            if j == self.n:  # a leaf 0 clashes with a leaf 1
+                matrix = np.add.outer(self.leaf, self.leaf) == 1
+            else:  # two rows clash iff their 0-halves or their 1-halves do
+                self.clash(j + 1)
+                below = self._clash[j + 1][0]
+                s0, s1 = self.succ[j]
+                matrix = below[np.ix_(s0, s0)] | below[np.ix_(s1, s1)]
+            packed = np.packbits(matrix, axis=1, bitorder="little")
+            self._clash[j] = matrix, [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return self._clash[j][1]
+
+    def consistent(self, j: int, block: tuple[int, ...]) -> bool:
+        # pairwise suffices: a 0/1 clash always involves exactly two rows
+        if len(block) < 2:
+            return True
+        clash = self.clash(j)
+        members = sum(1 << c for c in block)
+        return not any(clash[c] & members for c in block)
 
 
 def prefix_classes(f: FunctionSpec, order: VariableOrder | None, level: int) -> list[PrefixClass]:
-    """The distinct prefix behavior classes at one level."""
+    """The distinct prefix behavior classes at one level; each
+    representative is the first prefix of its class."""
     table, order = _ordered_table(f, order)
     n = f.n
     if not 0 <= level <= n:
         raise ValueError(f"level must be in 0..{n}")
     rows = table.reshape(1 << level, -1)
-    _, first = _classify_rows(rows)
+    _, first = np.unique(_Classes(table).ids[level], return_index=True)
     return [
         PrefixClass(level, format(int(i), f"0{level}b") if level else "", rows[i])
         for i in first
@@ -168,15 +243,12 @@ def subfunction_widths(f: FunctionSpec, order: VariableOrder | None = None,
     if f.n > n_cap:
         raise CapExceededError(f"subfunction oracle needs n <= {n_cap}, got {f.n}")
     table, order = _ordered_table(f, order)
-    if np.any(table == STAR):
+    classes = _Classes(table)
+    if STAR in classes.leaf:
         raise ValueError(f"{f.name} is partial; use partial_min_width_exact")
-    per_level = []
-    for j in range(f.n + 1):
-        # only the count is needed, and the per-order search calls this n! times
-        per_level.append(len(np.unique(_row_keys(table.reshape(1 << j, -1)))))
     return WidthReport(
-        per_level=tuple(per_level),
-        max_width=max(per_level),
+        per_level=tuple(classes.counts),
+        max_width=max(classes.counts),
         kind="exact",
         method="distinct subfunctions per level",
         order=order.perm,
@@ -200,11 +272,7 @@ def distinguishability_lower_bound(f: FunctionSpec, order: VariableOrder | None 
     if f.n > n_cap:
         raise CapExceededError(f"distinguishability oracle needs n <= {n_cap}, got {f.n}")
     table, order = _ordered_table(f, order)
-    per_level = []
-    for j in range(f.n + 1):
-        rows = table.reshape(1 << j, -1)
-        _, first = _classify_rows(rows)
-        per_level.append(_star_group_max(rows[first]))
+    per_level = _Classes(table).star_group_maxima()
     return WidthReport(
         per_level=tuple(per_level),
         max_width=max(per_level),
@@ -218,61 +286,9 @@ def distinguishability_lower_bound(f: FunctionSpec, order: VariableOrder | None 
 # exact oracle for partial functions
 # ---------------------------------------------------------------------------
 
-class _Levels:
-    """Per-level class rows and successor maps for the partition search."""
-
-    def __init__(self, table: np.ndarray, n: int):
-        self.n = n
-        self.rows: list[np.ndarray] = []        # (classes, suffix_len) per level
-        self.succ: list[tuple[np.ndarray, np.ndarray] | None] = []
-        inverses = []
-        firsts = []
-        for j in range(n + 1):
-            level_rows = table.reshape(1 << j, -1)
-            inverse, first = _classify_rows(level_rows)
-            inverses.append(inverse)
-            firsts.append(first)
-            self.rows.append(level_rows[first])
-        for j in range(n):
-            reps = firsts[j]
-            self.succ.append((inverses[j + 1][2 * reps], inverses[j + 1][2 * reps + 1]))
-        self.succ.append(None)
-        self._conflict_cache: list[dict[tuple[int, int], bool]] = [{} for _ in range(n + 1)]
-
-    def num_classes(self, j: int) -> int:
-        return self.rows[j].shape[0]
-
-    def conflict(self, j: int, c1: int, c2: int) -> bool:
-        """Do two class rows force different nodes (0 meets 1 at some suffix)?"""
-        if c1 == c2:
-            return False
-        key = (c1, c2) if c1 < c2 else (c2, c1)
-        cache = self._conflict_cache[j]
-        hit = cache.get(key)
-        if hit is None:
-            r1, r2 = self.rows[j][key[0]], self.rows[j][key[1]]
-            hit = bool(np.any(((r1 == 0) & (r2 == 1)) | ((r1 == 1) & (r2 == 0))))
-            cache[key] = hit
-        return hit
-
-    def block_consistent(self, j: int, block: tuple[int, ...]) -> bool:
-        # pairwise suffices: a 0/1 clash always involves exactly two rows
-        return all(
-            not self.conflict(j, a, b) for a, b in itertools.combinations(block, 2)
-        )
-
-
-def _canonical_blocks(assignment: dict[int, int], m: int) -> tuple[tuple[int, ...], ...]:
-    blocks: dict[int, list[int]] = {}
-    for c in range(m):
-        blocks.setdefault(assignment[c], []).append(c)
-    ordered = sorted(blocks.values(), key=lambda b: b[0])
-    return tuple(tuple(b) for b in ordered)
-
-
-def _forced_partition(levels: _Levels, j: int, blocks) -> tuple[tuple[int, ...], ...]:
+def _forced_partition(levels: _Classes, j: int, blocks) -> tuple[tuple[int, ...], ...]:
     """Finest partition of level-(j+1) classes honoring the successor rule."""
-    m_next = levels.num_classes(j + 1)
+    m_next = levels.counts[j + 1]
     parent = list(range(m_next))
 
     def find(x: int) -> int:
@@ -292,11 +308,13 @@ def _forced_partition(levels: _Levels, j: int, blocks) -> tuple[tuple[int, ...],
             anchor = int(succ[block[0]])
             for c in block[1:]:
                 union(anchor, int(succ[c]))
-    assignment = {c: find(c) for c in range(m_next)}
-    return _canonical_blocks(assignment, m_next)
+    found: dict[int, list[int]] = {}
+    for c in range(m_next):
+        found.setdefault(find(c), []).append(c)
+    return tuple(sorted(tuple(block) for block in found.values()))
 
 
-def _merges_into(levels: _Levels, j: int, blocks, w: int):
+def _merges_into(levels: _Classes, j: int, blocks, w: int):
     """All ways to merge ``blocks`` into exactly ``w`` consistent groups.
 
     Yields tuples of class-id tuples.  Conflicts between whole blocks are
@@ -304,13 +322,10 @@ def _merges_into(levels: _Levels, j: int, blocks, w: int):
     is produced twice.
     """
     m = len(blocks)
-    pair_conflict = [[False] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            clash = any(
-                levels.conflict(j, x, y) for x in blocks[a] for y in blocks[b]
-            )
-            pair_conflict[a][b] = pair_conflict[b][a] = clash
+    clash = levels.clash(j)
+    members = [sum(1 << c for c in block) for block in blocks]
+    pair_conflict = [[any(clash[c] & other for c in block) for other in members]
+                     for block in blocks]
 
     groups: list[list[int]] = []
 
@@ -335,37 +350,33 @@ def _merges_into(levels: _Levels, j: int, blocks, w: int):
     yield from rec(0)
 
 
-def _search(levels: _Levels, w: int, class_cap: int):
+def _search(levels: _Classes, w: int, class_cap: int):
     """Witness partition sequence with every level <= w blocks, or None."""
     n = levels.n
     dead: list[set] = [set() for _ in range(n + 1)]
 
-    def consistent_partition(j: int, blocks) -> bool:
-        return all(levels.block_consistent(j, b) for b in blocks)
-
     def rec(j: int, blocks):
         if j == n:
             return [blocks]
-        key = blocks
-        if key in dead[j]:
+        if blocks in dead[j]:
             return None
         forced = _forced_partition(levels, j, blocks)
-        if consistent_partition(j + 1, forced):
+        if all(levels.consistent(j + 1, block) for block in forced):
             if len(forced) <= w:
                 tail = rec(j + 1, forced)
                 if tail is not None:
                     return [blocks] + tail
             else:
-                if levels.num_classes(j + 1) > class_cap:
+                if levels.counts[j + 1] > class_cap:
                     raise CapExceededError(
-                        f"level {j + 1} has {levels.num_classes(j + 1)} prefix classes "
+                        f"level {j + 1} has {levels.counts[j + 1]} prefix classes "
                         f"(> cap {class_cap}) and the search must branch"
                     )
                 for merged in _merges_into(levels, j + 1, forced, w):
                     tail = rec(j + 1, merged)
                     if tail is not None:
                         return [blocks] + tail
-        dead[j].add(key)
+        dead[j].add(blocks)
         return None
 
     start = ((0,),)  # single empty-prefix class
@@ -374,12 +385,15 @@ def _search(levels: _Levels, w: int, class_cap: int):
 
 def partial_min_width_exact(f: FunctionSpec, order: VariableOrder | None = None,
                             *, class_cap: int = 12, n_cap: int = 12) -> WidthReport:
-    """Exact minimal OBDD width of a (possibly partial) function.
+    """Minimal OBDD width of a (possibly partial) function.
 
     Searches partition sequences of prefix behavior classes (module
-    docstring); the answer for a total function coincides with
-    :func:`subfunction_widths`.  ``class_cap`` bounds the class count at
-    levels where the search has to branch over merges.
+    docstring).  For a total function the answer is exact and coincides
+    with :func:`subfunction_widths`.  For a partial function it can be too
+    high: the search assumes that prefixes with identical rows may share a
+    node, which is unsound (module docstring, ``bench/README.md``); the
+    report still says ``kind="exact"``.  ``class_cap`` bounds the class
+    count at levels where the search has to branch over merges.
     """
     report, _ = _partial_min_width_witness(f, order, class_cap=class_cap, n_cap=n_cap)
     return report
@@ -389,9 +403,9 @@ def _partial_min_width_witness(f, order, *, class_cap: int, n_cap: int):
     if f.n > n_cap:
         raise CapExceededError(f"partial oracle needs n <= {n_cap}, got {f.n}")
     table, order = _ordered_table(f, order)
-    levels = _Levels(table, f.n)
-    lower = max(_star_group_max(rows) for rows in levels.rows)
-    upper = max(levels.num_classes(j) for j in range(f.n + 1))
+    levels = _Classes(table)
+    lower = max(levels.star_group_maxima())
+    upper = max(levels.counts)
     for w in range(lower, upper + 1):
         witness = _search(levels, w, class_cap)
         if witness is not None:
@@ -411,35 +425,20 @@ def _partial_min_width_witness(f, order, *, class_cap: int, n_cap: int):
 
 def minimal_obdd(f: FunctionSpec, order: VariableOrder | None = None,
                  *, class_cap: int = 12, n_cap: int = 12) -> ObddProgram:
-    """A deterministic program of exactly the minimal width, built from the
-    witness partition sequence of :func:`partial_min_width_exact`."""
+    """A deterministic program of the width :func:`partial_min_width_exact`
+    reports, built from the witness partition sequence of its search."""
     _, (levels, witness, order) = _partial_min_width_witness(
         f, order, class_cap=class_cap, n_cap=n_cap
     )
-    n = levels.n
-    block_of: list[dict[int, int]] = []
-    for partition in witness:
-        assignment = {}
-        for b, block in enumerate(partition):
-            for c in block:
-                assignment[c] = b
-        block_of.append(assignment)
-
-    maps = []
-    for j in range(n):
-        succ0, succ1 = levels.succ[j]
-        on0, on1 = [], []
-        for block in witness[j]:
-            anchor = block[0]
-            on0.append(block_of[j + 1][int(succ0[anchor])])
-            on1.append(block_of[j + 1][int(succ1[anchor])])
-        maps.append(level_map(on0, on1))
-
-    accept = set()
-    for b, block in enumerate(witness[n]):
-        values = {int(levels.rows[n][c][0]) for c in block}
-        if 1 in values:  # consistency forbids 0 here
-            accept.add(b)
+    block_of = [{c: b for b, block in enumerate(partition) for c in block}
+                for partition in witness]
+    maps = [
+        level_map(*([block_of[j + 1][int(succ[block[0]])] for block in witness[j]]
+                    for succ in levels.succ[j]))
+        for j in range(levels.n)
+    ]
+    # a consistent block holding a leaf 1 holds no leaf 0
+    accept = {b for b, block in enumerate(witness[-1]) if 1 in levels.leaf[list(block)]}
     return ObddProgram(
         kind="deterministic",
         order=order,
@@ -458,11 +457,6 @@ def minimal_obdd(f: FunctionSpec, order: VariableOrder | None = None,
 def _defined_inputs(f: FunctionSpec) -> tuple[np.ndarray, np.ndarray]:
     table = f.truth_table()
     return np.flatnonzero(table == 1), np.flatnonzero(table == 0)
-
-
-def _input_bit(xs: np.ndarray, n: int, j: int) -> np.ndarray:
-    # bit consumed at step j (1-based) of an ID program, for packed inputs
-    return (xs >> (n - j)) & 1
 
 
 def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str,

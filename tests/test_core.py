@@ -112,6 +112,21 @@ def test_non_unitary_matrix_is_reported():
     assert any("not unitary" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_entries_are_reported(bad):
+    m = np.array([[bad, 0.0], [bad, 1.0]])
+    stochastic = ObddProgram(
+        kind="probabilistic", order=natural_order(1), widths=(2, 2),
+        levels=(level_stochastic(m, np.eye(2)),), initial=0, accept=frozenset({0}),
+    )
+    unitary = ObddProgram(
+        kind="quantum", order=natural_order(1), widths=(2, 2),
+        levels=(level_unitary(np.eye(2), m),), initial=0, accept=frozenset({0}),
+    )
+    assert validate_program(stochastic).violations == ("level 1 symbol 0: non-finite entries",)
+    assert validate_program(unitary).violations == ("level 1 symbol 1: non-finite entries",)
+
+
 def test_dimension_chain_mismatch_is_reported():
     p = ObddProgram(
         kind="deterministic", order=natural_order(2), widths=(1, 2, 2),

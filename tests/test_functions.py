@@ -231,3 +231,8 @@ def test_from_table_checks_entries():
         from_table(np.array([0, 1, 3, 0], dtype=np.int8))
     with pytest.raises(ValueError):
         from_table(np.array([0, 1, 1], dtype=np.int8))
+
+
+def test_from_table_rejects_a_table_without_variables():
+    with pytest.raises(ValueError):
+        from_table(np.array([1], dtype=np.int8))

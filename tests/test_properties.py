@@ -1,3 +1,5 @@
+import io
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +24,7 @@ from obddlab import (
     state_trace,
     validate_program,
 )
-from obddlab import core
+from obddlab import InvalidProgramError, core, oracles
 from obddlab.core import KINDS
 from obddlab.constructions import (
     build_det_mod,
@@ -30,14 +32,16 @@ from obddlab.constructions import (
     build_nobdd_noto_fingerprint,
     build_quantum_partialmod,
 )
-from obddlab.functions import STAR, from_table
+from obddlab.functions import STAR, format_truth_table, from_table, read_truth_table
 from obddlab.markov import classify_states
 from obddlab.oracles import (
     distinguishability_lower_bound,
     minimal_obdd,
     partial_min_width_exact,
+    prefix_classes,
     subfunction_widths,
 )
+from obddlab.serialize import ProgramFormatError, decode_program, encode_program
 
 
 @st.composite
@@ -279,3 +283,123 @@ def test_minimal_program_for_random_partial_tables(f):
         if want == 2:
             continue
         assert simulate(program, bits) == float(want)
+
+
+def reference_classes(f, order):
+    """Per level, the prefix classes from a plain dict of row tuples: the
+    sorted distinct rows, and the first prefix with each row.  Shares no
+    code with the oracles."""
+    n = f.n
+    table = f.truth_table()
+    ordered = []  # value of each input, indexed by its bits in test order
+    for bits in itertools.product((0, 1), repeat=n):
+        x = [0] * n
+        for step, b in enumerate(bits):
+            x[order.perm[step]] = b
+        ordered.append(int(table[int("".join(map(str, x)), 2)]))
+    levels = []
+    for j in range(n + 1):
+        size = 1 << (n - j)
+        first = {}
+        for p in range(1 << j):
+            first.setdefault(tuple(ordered[p * size:(p + 1) * size]), p)
+        levels.append((sorted(first), first))
+    return levels
+
+
+@st.composite
+def tables_under_orders(draw):
+    n = draw(st.integers(1, 7))
+    codes = draw(st.sampled_from([[0, 1], [0, 1, STAR], [0, STAR], [1]]))
+    values = draw(st.lists(st.sampled_from(codes), min_size=1 << n, max_size=1 << n))
+    order = VariableOrder(n, draw(st.permutations(range(n))))
+    return from_table(np.array(values, dtype=np.int8)), order
+
+
+@given(tables_under_orders())
+@settings(max_examples=150, deadline=None)
+def test_bottom_up_classes_match_the_row_dict_reference(case):
+    f, order = case
+    classes = oracles._Classes(oracles._ordered_table(f, order)[0])
+    levels = reference_classes(f, order)
+    for j, (rows, first) in enumerate(levels):
+        assert classes.counts[j] == len(rows)
+        if j < f.n:
+            below = {row: c for c, row in enumerate(levels[j + 1][0])}
+            half = len(rows[0]) // 2
+            for s, succ in enumerate(classes.succ[j]):
+                assert succ.tolist() == [below[row[s * half:(s + 1) * half]] for row in rows]
+        else:
+            assert classes.leaf.tolist() == [row[0] for row in rows]
+        groups = {}
+        for row in rows:
+            mask = tuple(v == STAR for v in row)
+            groups[mask] = groups.get(mask, 0) + 1
+        assert classes.star_group_maxima()[j] == max(groups.values())
+        reps = prefix_classes(f, order, j)
+        assert [c.representative for c in reps] == [
+            format(first[row], f"0{j}b") if j else "" for row in rows]
+        assert [tuple(c.row.tolist()) for c in reps] == rows
+        clash = classes.clash(j)
+        for a, b in itertools.product(range(len(rows)), repeat=2):
+            want = any({x, y} == {0, 1} for x, y in zip(rows[a], rows[b]))
+            assert bool(clash[a] >> b & 1) == want
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the text formats: only the typed errors may escape
+# ---------------------------------------------------------------------------
+
+BAD_TOKENS = ["nan", "1e400", "-1", "1j", "nan,nan", "0,1e400"]
+
+
+@st.composite
+def mutated(draw, lines):
+    """``lines`` after one or two deletions, duplications or
+    replacements of a line or of one token in a line."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 2))):
+        if not lines:
+            break
+        at = draw(st.sampled_from(range(len(lines))))
+        action = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+        tokens = lines[at].split()
+        if draw(st.booleans()) and tokens:
+            i = draw(st.sampled_from(range(len(tokens))))
+            if action == "delete":
+                del tokens[i]
+            elif action == "duplicate":
+                tokens.insert(i, tokens[i])
+            else:
+                tokens[i] = draw(st.sampled_from(BAD_TOKENS))
+            lines[at] = " ".join(tokens)
+        elif action == "delete":
+            del lines[at]
+        elif action == "duplicate":
+            lines.insert(at, lines[at])
+        else:
+            lines[at] = draw(st.sampled_from(BAD_TOKENS + [""]))
+    return lines
+
+
+@given(st.sampled_from(KINDS).flatmap(programs), st.data())
+@settings(max_examples=500, deadline=None)
+def test_mutated_program_documents_fail_only_with_typed_errors(p, data):
+    lines = data.draw(mutated(encode_program(p).splitlines()))
+    try:
+        q = decode_program("\n".join(lines) + "\n")
+    except (ProgramFormatError, InvalidProgramError):
+        return
+    assert validate_program(q).ok
+    assert all(np.isfinite(t).all() for t in q.levels)
+
+
+@given(random_tables(codes=[0, 1, STAR]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_truth_tables_fail_only_with_value_errors(f, data):
+    lines = data.draw(mutated(format_truth_table(f).splitlines()))
+    try:
+        g = read_truth_table(io.StringIO("\n".join(lines) + "\n"))
+    except ValueError:
+        return
+    assert g.n >= 1 and g.truth_table().shape == (1 << g.n,)

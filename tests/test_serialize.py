@@ -147,3 +147,14 @@ def test_decode_rejects_non_positive_widths_at_the_widths_line():
     with pytest.raises(ProgramFormatError) as err:
         decode_program("\n".join(lines) + "\n")
     assert err.value.lineno == at + 1
+
+
+@pytest.mark.parametrize("program", [lift_deterministic(build_det_mod(3, 6)),
+                                     build_quantum_partialmod(1, 4)], ids=lambda p: p.kind)
+def test_decode_rejects_nan_entries(program):
+    lines = encode_program(program).splitlines()
+    at = lines.index("level 2 symbol 1") + 1
+    lines[at] = " ".join("nan" if program.kind == "probabilistic" else "nan,0"
+                         for _ in lines[at].split())
+    with pytest.raises(InvalidProgramError, match="level 2 symbol 1: non-finite"):
+        decode_program("\n".join(lines) + "\n")
