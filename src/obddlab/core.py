@@ -32,7 +32,9 @@ level on both symbols; a state is a node index, a reachable-set row or a
 state-vector row.  Simulation and the traces run it on one input,
 :func:`acceptance_table` (and with it :func:`computes`) on all ``2**n``
 inputs by prefix doubling, reachability on reachable sets, and validation
-on the basis states.
+on the basis states; the stable search of :mod:`obddlab.oracles` doubles
+one deterministic level whose states are the reachable sets of many
+candidate programs.
 
 A program is *stable* when every level carries the identical transition
 pair, and *ID* when its order is the natural one; a stable ID program of
@@ -149,18 +151,20 @@ def pairing_order(n: int) -> VariableOrder:
     return VariableOrder(n, tuple(perm))
 
 
-def _pair(on0, on1, dtype) -> np.ndarray:
+def _pair(on0, on1, dtype, node_major=False) -> np.ndarray:
     a, b = np.asarray(on0, dtype=dtype), np.asarray(on1, dtype=dtype)
     if a.shape != b.shape:
         raise ValueError(f"symbol transitions disagree in shape: {a.shape} vs {b.shape}")
-    t = np.stack([a, b])
+    t = np.stack([a, b], axis=-1).T if node_major else np.stack([a, b])
     t.setflags(write=False)
     return t
 
 
 def level_map(on0: Iterable[int], on1: Iterable[int]) -> np.ndarray:
-    """Deterministic level ``int[2, w_in]`` from two source-indexed target lists."""
-    return _pair(list(on0), list(on1), np.intp)
+    """Deterministic level ``int[2, w_in]`` from two source-indexed target
+    lists, stored node-major, so that a node's two successors lie side by
+    side for the stepping kernel."""
+    return _pair(list(on0), list(on1), np.intp, node_major=True)
 
 
 def level_relation(on0: Iterable[Iterable[int]], on1: Iterable[Iterable[int]],
@@ -345,7 +349,9 @@ def _advance(t: np.ndarray, states: np.ndarray) -> np.ndarray:
     successor batches, of shape ``(2, B)`` or ``(2, B, w_out)``.
     """
     if t.ndim == 2:
-        return t[:, states]
+        # rows of the node-major view (see level_map): each state's two
+        # images land side by side, so _double's interleave is a free reshape
+        return t.T.take(states, axis=0).T
     if t.dtype == bool:
         # the 0/1 product runs on BLAS in float32, exactly (the counts stay
         # far below 2**24); numpy's boolean matmul has no BLAS path
@@ -429,9 +435,14 @@ def _check_level(kind: str, j: int, t: np.ndarray, w_in: int, w_out: int, out: l
         return
     if kind == "nondeterministic":
         return
-    if kind != "deterministic" and not np.isfinite(t).all():
-        for sym in np.flatnonzero(~np.isfinite(t).all(axis=(1, 2))):
-            out.append(f"level {j} symbol {sym}: non-finite entries")
+    if kind != "deterministic" and not (np.abs(t) <= 1 + STRUCT_TOL).all():
+        # no stochastic or unitary matrix has a non-finite entry or one of
+        # modulus above 1, and such entries could overflow the checks below
+        for sym in range(2):
+            if not np.isfinite(t[sym]).all():
+                out.append(f"level {j} symbol {sym}: non-finite entries")
+            elif not (np.abs(t[sym]) <= 1 + STRUCT_TOL).all():
+                out.append(f"level {j} symbol {sym}: entries of modulus above 1")
         return
     images = _advance(t, _basis(kind, w_in))  # images[sym, s]: node s after sym
     if kind == "deterministic":
@@ -460,7 +471,8 @@ def validate_program(p: ObddProgram) -> ValidationReport:
     """Check every structural invariant of a program; never raises.
 
     Returns a report listing violations: transition arrays of the wrong
-    dtype or shape, non-finite entries, out-of-range targets,
+    dtype or shape, non-finite entries or entries of modulus above 1,
+    out-of-range targets,
     non-stochastic columns, non-unitary matrices, out-of-range initial or
     accepting nodes, and a stable flag set on a non-stable program.
     """

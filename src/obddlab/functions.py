@@ -84,7 +84,7 @@ class FunctionSpec:
     k: int | None
     symmetry: str | None
     _evaluate: Callable[[tuple[int, ...]], int | None] = field(repr=False)
-    _build_table: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+    _build_table: Callable[[], np.ndarray] = field(repr=False)
 
     def __call__(self, bits: Bits) -> int | None:
         return self._evaluate(parse_bits(bits, self.n))
@@ -101,13 +101,7 @@ class FunctionSpec:
         """
         cached = getattr(self, "_table", None)
         if cached is None:
-            if self._build_table is not None:
-                cached = self._build_table()
-            else:
-                cached = np.empty(1 << self.n, dtype=np.int8)
-                for i in range(1 << self.n):
-                    v = self._evaluate(tuple((i >> (self.n - 1 - j)) & 1 for j in range(self.n)))
-                    cached[i] = STAR if v is None else v
+            cached = self._build_table()
             cached.setflags(write=False)
             object.__setattr__(self, "_table", cached)
         return cached
@@ -135,8 +129,7 @@ def _rep(m: int, length: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _popcounts(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.uint64)
-    return np.bitwise_count(idx).astype(np.int64)
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
 
 
 def _table_from_count_profile(n: int, profile: Sequence[int | None]) -> np.ndarray:
@@ -146,8 +139,7 @@ def _table_from_count_profile(n: int, profile: Sequence[int | None]) -> np.ndarr
 
 def _table_from_prefix_values(n: int, k: int, prefix_values: np.ndarray) -> np.ndarray:
     # value depends only on the first k bits = the top k bits of the index
-    idx = np.arange(1 << n, dtype=np.int64)
-    return prefix_values[idx >> (n - k)]
+    return np.repeat(prefix_values, 1 << (n - k))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ successor maps.  The first four oracles read its output.
 * :func:`prefix_classes` -- the classes of one level, with a
   representative prefix and the row of each.
 * :func:`stable_exhaustive_search` -- enumerate every stable ID program of
-  a given width and kind, and return one computing the function, or none.
+  a given width and kind, and return one computing the function, or none
+  (see below).
 * :func:`min_width_over_orders` -- minimum of the per-order exact oracle
   over all n! variable orders.
 
@@ -48,6 +49,23 @@ blocks.  This is exact for total functions.  For partial functions it can
 hold there, since the narrowest program may have to split a class over
 several nodes (``partial_mod(1, 5)`` gets 4 where a width-3 program
 exists; see ``bench/README.md``).  The reports still say ``kind="exact"``.
+
+Stable search
+-------------
+A stable ID program applies one transition pair at every level, so it is
+fixed by the successor set of each (symbol, node) pair.  Program index
+``p`` encodes them: the deterministic successor of node ``s`` on ``sym`` is
+the base-``w`` digit ``sym*w + s`` of ``p``; the nondeterministic successor
+set is the ``w`` bits of ``p`` from bit ``w*(sym*w + s)`` on.  The subset
+construction (Rabin & Scott 1959) makes every program, of either kind, a
+deterministic automaton on reachable node sets (a deterministic program's
+sets are singletons).  A chunk of programs is one deterministic level on
+the states ``i * 2**w + M`` (program ``i``, reachable set ``M``), and the
+stepping kernel's prefix doubling runs it ``n`` times, so it returns each
+program's final set on every input, in truth-table order.  Some accepting
+set makes a program compute ``f`` iff every 1-input's final set holds a
+node that no 0-input's final set holds; the first such program is
+returned, accepting at the nodes some 1-input reaches and no 0-input does.
 """
 
 from __future__ import annotations
@@ -66,6 +84,7 @@ from .core import (
     level_map,
     level_relation,
     natural_order,
+    _double,
 )
 from .functions import STAR, FunctionSpec
 
@@ -162,7 +181,11 @@ class _Classes:
     def __init__(self, table: np.ndarray):
         n = self.n = table.size.bit_length() - 1
         self.leaf = np.flatnonzero(np.bincount(table, minlength=STAR + 1))
-        self.ids = [None] * n + [self.leaf.searchsorted(table)]
+        # the leaf ids by an int8 lookup: searchsorted's int64 ids would be
+        # the largest array of a 2**22 table
+        rank = np.zeros(STAR + 1, dtype=np.int8)
+        rank[self.leaf] = np.arange(self.leaf.size)
+        self.ids = [None] * n + [rank[table]]
         self._pairs = [None] * n
         k = self.leaf.size
         for j in range(n - 1, -1, -1):
@@ -454,9 +477,8 @@ def minimal_obdd(f: FunctionSpec, order: VariableOrder | None = None,
 # exhaustive search over stable ID programs
 # ---------------------------------------------------------------------------
 
-def _defined_inputs(f: FunctionSpec) -> tuple[np.ndarray, np.ndarray]:
-    table = f.truth_table()
-    return np.flatnonzero(table == 1), np.flatnonzero(table == 0)
+#: the stable search holds at most about this many automaton states at once
+_SEARCH_STATES = 1 << 18
 
 
 def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str,
@@ -466,114 +488,80 @@ def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str,
 
     Enumerates every transition pair (``w**(2w)`` deterministic maps or
     ``2**(2*w*w)`` relations) with initial node 0 -- exhaustive up to node
-    relabeling -- and simulates all defined inputs for all programs at once
-    with vectorized gathers.  An accepting set exists iff no final state
-    (or reachable set) is shared between a 1-input and a 0-input, so
-    accepting sets are never enumerated explicitly.
+    relabeling -- as automata on reachable node sets, about
+    ``_SEARCH_STATES`` states at a time (module docstring).  Returns the
+    first program in index order that computes ``f``, accepting at the
+    nodes some 1-input reaches and no 0-input reaches, or None.
     """
     n = f.n
     if n > n_cap:
         raise CapExceededError(f"stable search needs n <= {n_cap}, got {n}")
+    caps = {"deterministic": det_cap, "nondeterministic": nondet_cap}
+    if kind not in caps:
+        raise ValueError(f"search supports classical kinds, not {kind!r}")
+    w = width
+    if w > caps[kind]:
+        raise CapExceededError(f"{kind} search capped at width {caps[kind]}")
+    table = f.truth_table()
+    yes, no = table == 1, table == 0
+    count = w ** (2 * w) if kind == "deterministic" else 1 << (2 * w * w)
+    chunk = max(1, _SEARCH_STATES >> max(n, w))
+    for first in range(0, count, chunk):
+        idx = np.arange(first, min(first + chunk, count), dtype=np.int64)
+        level = _subset_level(_successor_sets(kind, w, idx), w)
+        start = (np.arange(idx.size, dtype=level.dtype) << w) + 1  # the sets {0}
+        finals = _double([level] * n, start).reshape(idx.size, -1) & ((1 << w) - 1)
+        forbidden = np.bitwise_or.reduce(finals[:, no], axis=1)
+        feasible = ((finals[:, yes] & ~forbidden[:, None]) != 0).all(axis=1)
+        if feasible.any():
+            i = int(feasible.argmax())
+            accept = int(np.bitwise_or.reduce(finals[i, yes])) & ~int(forbidden[i])
+            return _stable_program(kind, w, n, first + i, accept)
+    return None
+
+
+def _successor_sets(kind: str, w: int, idx: np.ndarray) -> np.ndarray:
+    """``sets[sym, s, i]``: the successors of node ``s`` on symbol ``sym``
+    in program ``idx[i]``, as a bit mask over the ``w`` nodes."""
+    digit = np.arange(2 * w, dtype=np.int64).reshape(2, w, 1)  # sym * w + s
     if kind == "deterministic":
-        if width > det_cap:
-            raise CapExceededError(f"deterministic search capped at width {det_cap}")
-        return _search_det(f, width)
-    if kind == "nondeterministic":
-        if width > nondet_cap:
-            raise CapExceededError(f"nondeterministic search capped at width {nondet_cap}")
-        return _search_nondet(f, width)
-    raise ValueError(f"search supports classical kinds, not {kind!r}")
+        return 1 << (idx // w ** digit % w)
+    return idx >> (w * digit) & ((1 << w) - 1)
 
 
-def _search_det(f: FunctionSpec, w: int) -> ObddProgram | None:
-    n = f.n
-    yes, no = _defined_inputs(f)
-    count = w ** (2 * w)
-    idx = np.arange(count, dtype=np.int64)
-    # digit s of the mixed-radix program index is delta[sym][s]
-    delta = np.empty((2, w, count), dtype=np.int64)
-    for sym in (0, 1):
-        for s in range(w):
-            delta[sym, s] = (idx // (w ** (sym * w + s))) % w
+def _subset_level(sets: np.ndarray, w: int) -> np.ndarray:
+    """The programs of ``sets`` as one deterministic level on the states
+    ``i * 2**w + M``: program ``i`` with reachable node set ``M``.  The
+    image of a set is the union of its nodes' successor sets, built from
+    the set without its lowest node."""
+    size = sets.shape[2]
+    dtype = np.int32 if size << w < 1 << 31 else np.int64
+    images = np.zeros((1 << w, 2, size), dtype=dtype)  # [M, sym, i]
+    for m in range(1, 1 << w):
+        low = m & -m
+        np.bitwise_or(images[m ^ low], sets[:, low.bit_length() - 1], out=images[m])
+    images += np.arange(size, dtype=dtype) << w
+    # state-major rows, seen as int[2, size * 2**w]: the layout the kernel
+    # gathers fastest
+    return np.ascontiguousarray(images.transpose(2, 0, 1)).reshape(-1, 2).T
 
-    def finals(xs: np.ndarray, accumulate: np.ndarray):
-        for x in xs:
-            state = np.zeros(count, dtype=np.int64)
-            for j in range(1, n + 1):
-                b = int((int(x) >> (n - j)) & 1)
-                state = delta[b, state, idx]
-            accumulate |= np.int64(1) << state
 
-    yes_mask = np.zeros(count, dtype=np.int64)
-    no_mask = np.zeros(count, dtype=np.int64)
-    finals(yes, yes_mask)
-    finals(no, no_mask)
-    feasible = (yes_mask & no_mask) == 0
-    hits = np.flatnonzero(feasible)
-    if hits.size == 0:
-        return None
-    p = int(hits[0])
-    on = [[int(delta[sym, s, p]) for s in range(w)] for sym in (0, 1)]
-    accept = {s for s in range(w) if (int(yes_mask[p]) >> s) & 1}
+def _stable_program(kind: str, w: int, n: int, p: int, accept: int) -> ObddProgram:
+    """Stable program ``p`` of the enumeration, accepting at the nodes of
+    the bit mask ``accept``."""
+    sets = _successor_sets(kind, w, np.array([p]))[..., 0]
+    on = [[[t for t in range(w) if int(m) >> t & 1] for m in row] for row in sets]
+    if kind == "deterministic":
+        level = level_map(*([succ for (succ,) in row] for row in on))
+    else:
+        level = level_relation(*on, w)
     return ObddProgram(
-        kind="deterministic",
+        kind=kind,
         order=natural_order(n),
         widths=(w,) * (n + 1),
-        levels=(level_map(on[0], on[1]),) * n,
+        levels=(level,) * n,
         initial=0,
-        accept=frozenset(accept),
-        stable=True,
-    )
-
-
-def _search_nondet(f: FunctionSpec, w: int) -> ObddProgram | None:
-    n = f.n
-    yes, no = _defined_inputs(f)
-    count = 1 << (2 * w * w)
-    idx = np.arange(count, dtype=np.int64)
-    full = (1 << w) - 1
-    # per-node successor bitmask, then subset-DP to masks of reachable sets
-    row = np.empty((2, w, count), dtype=np.int64)
-    for sym in (0, 1):
-        for s in range(w):
-            row[sym, s] = (idx >> (sym * w * w + s * w)) & full
-    nxt = np.zeros((2, 1 << w, count), dtype=np.int64)
-    for sym in (0, 1):
-        for mask in range(1, 1 << w):
-            low = mask & -mask
-            nxt[sym, mask] = nxt[sym, mask ^ low] | row[sym, low.bit_length() - 1]
-
-    def final_masks(x: int) -> np.ndarray:
-        state = np.ones(count, dtype=np.int64)  # reachable set {0}
-        for j in range(1, n + 1):
-            b = int((x >> (n - j)) & 1)
-            state = nxt[b, state, idx]
-        return state
-
-    forbidden = np.zeros(count, dtype=np.int64)
-    for x in no:
-        forbidden |= final_masks(int(x))
-    ok = np.ones(count, dtype=bool)
-    for x in yes:
-        ok &= (final_masks(int(x)) & ~forbidden) != 0
-        if not ok.any():
-            return None
-    hits = np.flatnonzero(ok)
-    if hits.size == 0:
-        return None
-    p = int(hits[0])
-    rels = [
-        [[t for t in range(w) if (int(row[sym, s, p]) >> t) & 1] for s in range(w)]
-        for sym in (0, 1)
-    ]
-    accept = {s for s in range(w) if not (int(forbidden[p]) >> s) & 1}
-    return ObddProgram(
-        kind="nondeterministic",
-        order=natural_order(n),
-        widths=(w,) * (n + 1),
-        levels=(level_relation(rels[0], rels[1], w),) * n,
-        initial=0,
-        accept=frozenset(accept),
+        accept=frozenset(s for s in range(w) if accept >> s & 1),
         stable=True,
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import constructions as cons
 from . import functions as fz
-from .core import program_width, stable_symbol_chain
+from .core import CapExceededError, program_width, stable_symbol_chain
 from .markov import classify_states, period_lcm_certificate
 from .oracles import (
     partial_min_width_exact,
@@ -130,21 +130,16 @@ def report_separation_quantum_classical(k: int, n: int) -> ReportTable:
     ))
 
     w = floor - 1
-    if w <= 3:
-        found = stable_exhaustive_search(f, w, "nondeterministic")
-        rows.append(SeparationRow(
-            model="stable nondeterministic", function=f_name,
-            constructed_width=None, oracle_value=floor, oracle_kind="lower_bound",
-            verdict=_verdict(found is None),
-            claim=f"exhaustive search finds no stable nondeterministic program of width {w}",
-        ))
-    else:
-        rows.append(SeparationRow(
-            model="stable nondeterministic", function=f_name,
-            constructed_width=None, oracle_value=floor, oracle_kind="lower_bound",
-            verdict=INCONCLUSIVE,
-            claim=f"width-{w} exhaustive search exceeds the enumeration cap",
-        ))
+    try:
+        verdict = _verdict(stable_exhaustive_search(f, w, "nondeterministic") is None)
+        claim = f"exhaustive search finds no stable nondeterministic program of width {w}"
+    except CapExceededError:
+        verdict, claim = INCONCLUSIVE, f"width-{w} exhaustive search exceeds the enumeration cap"
+    rows.append(SeparationRow(
+        model="stable nondeterministic", function=f_name,
+        constructed_width=None, oracle_value=floor, oracle_kind="lower_bound",
+        verdict=verdict, claim=claim,
+    ))
 
     chain = stable_symbol_chain(cons.build_det_partialmod(k, n), 1)
     cert = period_lcm_certificate(classify_states(chain), k)

@@ -127,6 +127,19 @@ def test_non_finite_matrix_entries_are_reported(bad):
     assert validate_program(unitary).violations == ("level 1 symbol 1: non-finite entries",)
 
 
+@pytest.mark.parametrize("kind, big", [("probabilistic", 1e308), ("quantum", 1e200)])
+def test_huge_finite_matrix_entries_are_reported_without_overflow(kind, big):
+    # the column sums (probabilistic) or the Gram product (quantum) of this
+    # matrix would overflow
+    m = np.array([[big, big], [big, -big]])
+    make = level_stochastic if kind == "probabilistic" else level_unitary
+    p = ObddProgram(
+        kind=kind, order=natural_order(1), widths=(2, 2),
+        levels=(make(m, np.eye(2)),), initial=0, accept=frozenset({0}),
+    )
+    assert validate_program(p).violations == ("level 1 symbol 0: entries of modulus above 1",)
+
+
 def test_dimension_chain_mismatch_is_reported():
     p = ObddProgram(
         kind="deterministic", order=natural_order(2), widths=(1, 2, 2),

@@ -129,6 +129,16 @@ def test_prefix_symmetry_agrees_with_tables():
         assert table[i] == profile[prefix_ones]
 
 
+@pytest.mark.parametrize("f", [
+    partial_mod(0, 5), partial_mod(1, 6), partial_mod(2, 7), mod_count(2, 6), mod_count(3, 7),
+    not_o(6), not_o(7), not_o_prefix(4, 7), not_square(6), not_power(6), eqs(4, 8),
+    not_eqs(4, 7), not_pal(7), from_table(np.array([0, 1, STAR, 1, 1, 0, STAR, 0])),
+], ids=lambda f: f"{f.name}-{f.k}-{f.n}")
+def test_truth_table_matches_the_per_input_evaluator(f):
+    want = [f(format(i, f"0{f.n}b")) for i in range(1 << f.n)]
+    assert f.truth_table().tolist() == [STAR if v is None else v for v in want]
+
+
 # ---------------------------------------------------------------------------
 # family invariants
 # ---------------------------------------------------------------------------

@@ -32,7 +32,14 @@ from obddlab.constructions import (
     build_nobdd_noto_fingerprint,
     build_quantum_partialmod,
 )
-from obddlab.functions import STAR, format_truth_table, from_table, read_truth_table
+from obddlab.functions import (
+    STAR,
+    format_truth_table,
+    from_table,
+    mod_count,
+    partial_mod,
+    read_truth_table,
+)
 from obddlab.markov import classify_states
 from obddlab.oracles import (
     distinguishability_lower_bound,
@@ -283,6 +290,100 @@ def test_minimal_program_for_random_partial_tables(f):
         if want == 2:
             continue
         assert simulate(program, bits) == float(want)
+
+
+def reference_stable_search(f, w, kind):
+    """The first stable program, in the documented index order, that some
+    accepting set makes compute ``f``, with that set; or None.  Brute force
+    over successor choices, stepping each input on Python sets; shares no
+    code with the library's search."""
+    if kind == "deterministic":
+        choices = [{t} for t in range(w)]
+    else:
+        choices = [{t for t in range(w) if m >> t & 1} for m in range(1 << w)]
+    table = f.truth_table()
+    # digit sym * w + s of the index is the choice of node s on symbol sym;
+    # product varies its last position fastest, so that is digit 0
+    for combo in itertools.product(choices, repeat=2 * w):
+        succ = combo[::-1]
+        yes, forbidden = [], set()
+        for i, bits in enumerate(all_inputs(f.n)):
+            if table[i] == STAR:
+                continue
+            reached = {0}
+            for b in bits:
+                reached = set().union(*(succ[int(b) * w + s] for s in reached))
+            if table[i] == 1:
+                yes.append(reached)
+            else:
+                forbidden |= reached
+        if all(reached - forbidden for reached in yes):
+            accept = set().union(*yes) - forbidden
+            return [[sorted(succ[sym * w + s]) for s in range(w)] for sym in (0, 1)], accept
+    return None
+
+
+@st.composite
+def stable_search_cases(draw):
+    kind = draw(st.sampled_from(["deterministic", "nondeterministic"]))
+    w = draw(st.integers(1, 3 if kind == "deterministic" else 2))
+    if draw(st.booleans()):
+        f = draw(st.sampled_from([[0, 1], [0, 1, STAR], [0, STAR], [1, STAR]])
+                 .flatmap(lambda codes: random_tables(codes=codes)))
+        return f, w, kind
+    # the table of a random stable program, partly undefined: a hit exists,
+    # and usually more than one, so the index order decides which is found
+    n = draw(st.integers(1, 5))
+    if kind == "deterministic":
+        rows = [[draw(st.integers(0, w - 1)) for _ in range(w)] for _ in range(2)]
+        level = level_map(*rows)
+    else:
+        rows = [[draw(st.sets(st.integers(0, w - 1))) for _ in range(w)] for _ in range(2)]
+        level = level_relation(*rows, w)
+    p = ObddProgram(
+        kind=kind, order=natural_order(n), widths=(w,) * (n + 1), levels=(level,) * n,
+        initial=0, accept=frozenset(draw(st.sets(st.integers(0, w - 1)))), stable=True,
+    )
+    table = acceptance_table(p).astype(np.int8)
+    table[draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n))] = STAR
+    return from_table(table), w, kind
+
+
+@given(stable_search_cases())
+@settings(max_examples=80, deadline=None)
+def test_stable_search_matches_the_brute_force_reference(case):
+    f, w, kind = case
+    found = oracles.stable_exhaustive_search(f, w, kind)
+    want = reference_stable_search(f, w, kind)
+    assert (found is None) == (want is None)
+    if found is None:
+        return
+    rows, accept = want
+    if kind == "deterministic":
+        level = level_map(*([succ for (succ,) in row] for row in rows))
+        mode = AcceptanceMode.deterministic()
+    else:
+        level = level_relation(*rows, w)
+        mode = AcceptanceMode.nondeterministic()
+    assert found.stable and all(np.array_equal(t, level) for t in found.levels)
+    assert found.accept == accept
+    assert computes(found, f, mode).ok
+
+
+@pytest.mark.parametrize("f, w, kind", [
+    (partial_mod(0, 4), 2, "deterministic"),  # found at index 6
+    (partial_mod(0, 4), 2, "nondeterministic"),  # index 105
+    (mod_count(3, 6), 3, "deterministic"),  # index 200
+    (partial_mod(1, 5), 2, "nondeterministic"),  # none
+])
+def test_chunked_stable_search_matches_one_chunk(f, w, kind, monkeypatch):
+    whole = oracles.stable_exhaustive_search(f, w, kind)
+    # three programs per chunk, so hits land in later chunks
+    monkeypatch.setattr(oracles, "_SEARCH_STATES", 3 << max(f.n, w))
+    chunked = oracles.stable_exhaustive_search(f, w, kind)
+    assert (whole is None) == (chunked is None)
+    if whole is not None:
+        assert encode_program(whole) == encode_program(chunked)
 
 
 def reference_classes(f, order):

@@ -31,6 +31,15 @@ def test_separation_quantum_classical_k0_is_honest_about_no_separation():
     assert all(row[verdict] == HOLDS for row in table.rows[1:])
 
 
+def test_separation_quantum_classical_past_the_search_cap_is_inconclusive():
+    # k = 2 asks for a width-7 nondeterministic search, past nondet_cap
+    table = run_report("separation-quantum-classical", k=2, n=8)
+    assert table.rows[2] == (
+        "stable nondeterministic", "PartialMOD(k=2, n=8)", None, 8, "lower_bound",
+        "inconclusive", "width-7 exhaustive search exceeds the enumeration cap",
+    )
+
+
 def test_separation_nondet_holds_at_n8():
     table = run_report("separation-nondet", n=8)
     assert table.all_hold
