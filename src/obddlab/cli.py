@@ -96,6 +96,7 @@ def _cmd_build(args) -> int:
     if key not in _BUILDERS:
         known = ", ".join(f"{f}/{m}" for f, m in sorted(_BUILDERS))
         raise ValueError(f"no construction for {key[0]!r} with model {key[1]!r} (have: {known})")
+    fz.make_function(key[0], k=args.k, n=args.n)  # names a missing or stray --k
     program = _BUILDERS[key](args.k, args.n)
     if args.determinize:
         program = nobdd_to_obdd_subset(program, subset_cap=args.width_cap)
@@ -146,6 +147,8 @@ def _report_lines(report) -> str:
 def _cmd_minwidth(args) -> int:
     f = _make_function(args)
     if args.oracle == "stable-search":
+        if args.width is None:
+            raise ValueError("--width is required for --oracle stable-search")
         found = stable_exhaustive_search(f, args.width, args.kind)
         if found is None:
             print(f"none: no stable ID {args.kind} program of width {args.width} computes {f.name}")

@@ -6,10 +6,18 @@ correctness can be checked independently (see ``obddlab.oracles`` and
 modulo a basis of small primes whose product exceeds the value range, so
 unanimous agreement of all residues certifies equality by the Chinese
 Remainder Theorem.
+
+The multi-level classical programs are written as labelled layers: one
+list of hashable node labels per level (node ``x`` is the ``x``-th label)
+and one step rule per kind of level, mapping a label and a symbol to the
+successor label(s).  :func:`_layered` numbers the labels, builds one
+transition array per distinct (source layer, target layer, rule), so
+repeated levels share one array, and reads the widths off the layers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -141,6 +149,52 @@ def build_det_mod(k: int, n: int) -> ObddProgram:
 
 
 # ---------------------------------------------------------------------------
+# labelled layers
+# ---------------------------------------------------------------------------
+
+def _layered(kind: str, order: VariableOrder, layers, steps, accept) -> ObddProgram:
+    """Assemble a classical program from labelled layers (module docstring).
+
+    ``layers`` holds the ``n + 1`` label lists, the initial node being the
+    first label of ``layers[0]``; ``steps[j-1](label, symbol)`` returns the
+    successor label (deterministic) or labels (nondeterministic) of a node
+    of level ``j - 1``; ``accept`` lists accepting labels of the last layer.
+    """
+    numbers: dict[int, dict] = {}
+    for layer in layers:
+        if id(layer) not in numbers:
+            numbers[id(layer)] = {label: x for x, label in enumerate(layer)}
+    arrays: dict[tuple, np.ndarray] = {}
+    levels = []
+    for src, dst, step in zip(layers, layers[1:], steps):
+        key = (id(src), id(dst), step)
+        if key not in arrays:
+            at = numbers[id(dst)]
+            if kind == "deterministic":
+                arrays[key] = level_map(*(
+                    [at[step(s, sym)] for s in src] for sym in (0, 1)))
+            else:
+                arrays[key] = level_relation(*(
+                    [[at[t] for t in step(s, sym)] for s in src] for sym in (0, 1)),
+                    len(dst))
+        levels.append(arrays[key])
+    final = numbers[id(layers[-1])]
+    return ObddProgram(kind=kind, order=order, widths=tuple(map(len, layers)),
+                       levels=tuple(levels), initial=0, stable=False,
+                       accept=frozenset(final[label] for label in accept))
+
+
+def _keep(label, sym):
+    """Step rule of a deterministic idle level."""
+    return label
+
+
+def _keep_all(label, sym):
+    """Step rule of a nondeterministic idle level."""
+    return (label,)
+
+
+# ---------------------------------------------------------------------------
 # nondeterministic fingerprint programs
 # ---------------------------------------------------------------------------
 
@@ -155,43 +209,20 @@ def build_nobdd_noto_fingerprint(k: int, n: int) -> ObddProgram:
     """
     if k % 2 != 0 or not 1 < k <= n:
         raise ValueError(f"needs even k with 1 < k <= n, got k = {k}, n = {n}")
-    basis = primes_for_fingerprint(k)
-    primes = basis.primes
-    offsets = np.concatenate(([0], np.cumsum(primes))).tolist()
-    width = offsets[-1]
+    primes = primes_for_fingerprint(k).primes
+    residues = [(p, c) for p in primes for c in range(p)]
 
-    def node(branch: int, residue: int) -> int:
-        return offsets[branch] + residue
+    def count(state, sym):
+        if state is None:  # fan-out: the first bit is counted into every branch
+            return [(p, sym % p) for p in primes]
+        p, c = state
+        return [(p, (c + sym) % p)]
 
-    # fan-out: the first tested bit is already counted into every branch
-    first = level_relation(
-        [[node(i, 0) for i in range(len(primes))]],
-        [[node(i, 1 % p) for i, p in enumerate(primes)]],
-        width,
-    )
-    count = level_relation(
-        [[node(i, c)] for i, p in enumerate(primes) for c in range(p)],
-        [[node(i, (c + 1) % p)] for i, p in enumerate(primes) for c in range(p)],
-        width,
-    )
-    idle_rows = [[s] for s in range(width)]
-    idle = level_relation(idle_rows, idle_rows, width)
-
-    levels = (first,) + (count,) * (k - 1) + (idle,) * (n - k)
-    accept = frozenset(
-        node(i, c)
-        for i, p in enumerate(primes)
-        for c in range(p)
-        if c != (k // 2) % p
-    )
-    return ObddProgram(
-        kind="nondeterministic",
-        order=natural_order(n),
-        widths=(1,) + (width,) * n,
-        levels=levels,
-        initial=0,
-        accept=accept,
-        stable=False,
+    return _layered(
+        "nondeterministic", natural_order(n),
+        [[None]] + [residues] * n,
+        [count] * k + [_keep_all] * (n - k),
+        [(p, c) for p, c in residues if c != (k // 2) % p],
     )
 
 
@@ -211,90 +242,34 @@ def build_nobdd_noteqs_fingerprint(k: int, n: int) -> ObddProgram:
     if k % 4 != 0 or not 4 <= k <= n:
         raise ValueError(f"needs k a multiple of 4 with 4 <= k <= n, got k = {k}, n = {n}")
     q = k // 4
-    basis = primes_for_fingerprint(1 << q, odd_only=True)
-    primes = basis.primes
+    primes = primes_for_fingerprint(1 << q, odd_only=True).primes
+    # weight of the j-th bit of a routed string, per prime
+    weight = {p: [pow(2, -j, p) for j in range(q + 2)] for p in primes}
+    lengths = range(q + 1)
+    even = [(p, r, a, b) for p in primes for r in range(p) for a in lengths for b in lengths]
+    even.append("ACC")                        # shared committed-accept node
+    odd = [s + (m,) for s in even[:-1] for m in (0, 1)] + ["ACC"]
 
-    # inverse powers of two per prime: weight of the j-th bit of a routed string
-    inv_pow = [
-        [pow(pow(2, -1, p), j, p) for j in range(q + 1)]
-        for p in primes
-    ]
+    def marker(state, m):
+        if state is None:  # fan-out: every branch starts from empty strings
+            return [(p, 0, 0, 0, m) for p in primes]
+        return [state if state == "ACC" else state + (m,)]
 
-    even_nodes: list[tuple] = [
-        (i, r, a, b)
-        for i, p in enumerate(primes)
-        for r in range(p)
-        for a in range(q + 1)
-        for b in range(q + 1)
-    ]
-    overflow_even = len(even_nodes)           # shared committed-accept node
-    even_index = {s: x for x, s in enumerate(even_nodes)}
-    odd_nodes = [s + (m,) for s in even_nodes for m in (0, 1)]
-    overflow_odd = len(odd_nodes)
-    odd_index = {s: x for x, s in enumerate(odd_nodes)}
+    def value(state, v):
+        if state == "ACC":
+            return [state]
+        p, r, a, b, m = state
+        if m == 0:      # value bit joins alpha
+            r, a = r + v * weight[p][a + 1], a + 1
+        else:           # value bit joins beta
+            r, b = r - v * weight[p][b + 1], b + 1
+        return ["ACC" if max(a, b) > q else (p, r % p, a, b)]
 
-    even_width = len(even_nodes) + 1
-    odd_width = len(odd_nodes) + 1
-
-    def read_marker() -> np.ndarray:
-        rows = [[], []]
-        for sym in (0, 1):
-            rows[sym] = [[odd_index[s + (sym,)]] for s in even_nodes] + [[overflow_odd]]
-        return level_relation(rows[0], rows[1], odd_width)
-
-    def read_value() -> np.ndarray:
-        rows = [[], []]
-        for sym in (0, 1):
-            out = []
-            for (i, r, a, b, m) in odd_nodes:
-                p = primes[i]
-                if m == 0:  # value bit joins alpha
-                    if a + 1 > q:
-                        out.append([overflow_even])
-                    else:
-                        out.append([even_index[(i, (r + sym * inv_pow[i][a + 1]) % p, a + 1, b)]])
-                else:       # value bit joins beta
-                    if b + 1 > q:
-                        out.append([overflow_even])
-                    else:
-                        out.append([even_index[(i, (r - sym * inv_pow[i][b + 1]) % p, a, b + 1)]])
-            out.append([overflow_even])
-            rows[sym] = out
-        return level_relation(rows[0], rows[1], even_width)
-
-    first = level_relation(
-        [[odd_index[(i, 0, 0, 0, 0)] for i in range(len(primes))]],
-        [[odd_index[(i, 0, 0, 0, 1)] for i in range(len(primes))]],
-        odd_width,
-    )
-    marker = read_marker()
-    value = read_value()
-    idle_rows = [[s] for s in range(even_width)]
-    idle = level_relation(idle_rows, idle_rows, even_width)
-
-    levels = [first]
-    for j in range(2, k + 1):
-        levels.append(value if j % 2 == 0 else marker)
-    levels.extend([idle] * (n - k))
-
-    widths = [1]
-    for j in range(1, k + 1):
-        widths.append(odd_width if j % 2 == 1 else even_width)
-    widths.extend([even_width] * (n - k))
-
-    accept = frozenset(
-        even_index[(i, r, a, b)]
-        for (i, r, a, b) in even_nodes
-        if r != 0 or a != b
-    ) | {overflow_even}
-    return ObddProgram(
-        kind="nondeterministic",
-        order=natural_order(n),
-        widths=tuple(widths),
-        levels=tuple(levels),
-        initial=0,
-        accept=accept,
-        stable=False,
+    return _layered(
+        "nondeterministic", natural_order(n),
+        [[None]] + [odd, even] * (k // 2) + [even] * (n - k),
+        [marker, value] * (k // 2) + [_keep_all] * (n - k),
+        [s for s in even if s == "ACC" or s[1] != 0 or s[2] != s[3]],
     )
 
 
@@ -315,79 +290,33 @@ def build_det_eqs(k: int, n: int) -> ObddProgram:
     if k % 4 != 0 or not 4 <= k <= n:
         raise ValueError(f"needs k a multiple of 4 with 4 <= k <= n, got k = {k}, n = {n}")
     q = k // 4
-    strings = [
-        tuple((c >> (length - 1 - j)) & 1 for j in range(length))
-        for length in range(1, q + 1)
-        for c in range(1 << length)
-    ]
-    even_nodes: list[tuple] = (
-        [("A", c) for c in strings] + [("B", c) for c in strings] + [("EQ",), ("REJ",)]
-    )
-    even_index = {s: x for x, s in enumerate(even_nodes)}
-    odd_nodes = (
+    strings = [c for length in range(1, q + 1) for c in itertools.product((0, 1), repeat=length)]
+    even = [("A", c) for c in strings] + [("B", c) for c in strings] + [("EQ",), ("REJ",)]
+    odd = (
         [(side, c, m) for side in "AB" for c in strings for m in (0, 1)]
-        + [("EQ", m) for m in (0, 1)] + [("REJ",)]
+        + [("EQ", 0), ("EQ", 1), ("REJ",)]
     )
-    odd_index = {s: x for x, s in enumerate(odd_nodes)}
 
-    def marker_target(state: tuple, m: int) -> int:
-        if state[0] == "REJ":
-            return odd_index[("REJ",)]
-        if state[0] == "EQ":
-            return odd_index[("EQ", m)]
-        side, c = state
-        return odd_index[(side, c, m)]
+    def marker(state, m):
+        return state if state == ("REJ",) else state + (m,)
 
-    def value_target(state: tuple, v: int) -> int:
-        if state[0] == "REJ":
-            return even_index[("REJ",)]
+    def value(state, v):
+        if state == ("REJ",):
+            return state
         if state[0] == "EQ":
-            m = state[1]
-            side = "A" if m == 0 else "B"
-            return even_index[(side, (v,))]
+            return ("A" if state[1] == 0 else "B", (v,))
         side, c, m = state
-        extends = (side == "A" and m == 0) or (side == "B" and m == 1)
-        if extends:
-            if len(c) + 1 > q:
-                return even_index[("REJ",)]
-            return even_index[(side, c + (v,))]
+        if (side == "A") == (m == 0):  # the value bit's string is ahead
+            return ("REJ",) if len(c) == q else (side, c + (v,))
         if v != c[0]:
-            return even_index[("REJ",)]
-        rest = c[1:]
-        return even_index[("EQ",)] if not rest else even_index[(side, rest)]
+            return ("REJ",)
+        return (side, c[1:]) if len(c) > 1 else ("EQ",)
 
-    first = level_map(
-        [marker_target(("EQ",), 0)],
-        [marker_target(("EQ",), 1)],
-    )
-    marker = level_map(
-        [marker_target(s, 0) for s in even_nodes],
-        [marker_target(s, 1) for s in even_nodes],
-    )
-    value = level_map(
-        [value_target(s, 0) for s in odd_nodes],
-        [value_target(s, 1) for s in odd_nodes],
-    )
-    idle = level_map(range(len(even_nodes)), range(len(even_nodes)))
-
-    levels = [first]
-    for j in range(2, k + 1):
-        levels.append(value if j % 2 == 0 else marker)
-    levels.extend([idle] * (n - k))
-
-    widths = [1]
-    for j in range(1, k + 1):
-        widths.append(len(odd_nodes) if j % 2 == 1 else len(even_nodes))
-    widths.extend([len(even_nodes)] * (n - k))
-
-    return ObddProgram(
-        kind="deterministic",
-        order=natural_order(n),
-        widths=tuple(widths),
-        levels=tuple(levels),
-        initial=0,
-        accept=frozenset({even_index[("EQ",)]}),
-        stable=False,
+    return _layered(
+        "deterministic", natural_order(n),
+        [[("EQ",)]] + [odd, even] * (k // 2) + [even] * (n - k),
+        [marker, value] * (k // 2) + [_keep] * (n - k),
+        [("EQ",)],
     )
 
 
@@ -401,43 +330,19 @@ def build_det_notpal(n: int) -> ObddProgram:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    odd_nodes = ["S0", "S1", "ACC"]            # just saw the first bit of a pair
-    even_nodes = ["EQ", "ACC"]                 # pair resolved
-    oi = {s: x for x, s in enumerate(odd_nodes)}
-    ei = {s: x for x, s in enumerate(even_nodes)}
 
-    first = level_map([oi["S0"]], [oi["S1"]])
-    open_pair = level_map(
-        [oi["S0"], oi["ACC"]],
-        [oi["S1"], oi["ACC"]],
-    )
-    close_pair = level_map(
-        [ei["EQ"], ei["ACC"], ei["ACC"]],      # S0 matched by 0 / S1 mismatched / ACC
-        [ei["ACC"], ei["EQ"], ei["ACC"]],
-    )
-    middle = level_map([ei["EQ"], ei["ACC"]], [ei["EQ"], ei["ACC"]])
+    def open_pair(state, b):
+        return state if state == "ACC" else f"S{b}"
 
-    pairs = n // 2
-    levels = [first, close_pair]
-    for _ in range(pairs - 1):
-        levels.extend([open_pair, close_pair])
-    if n % 2 == 1:
-        levels.append(middle)
+    def close_pair(state, b):
+        return "EQ" if state == f"S{b}" else "ACC"
 
-    widths = [1]
-    for _ in range(pairs):
-        widths.extend([3, 2])
-    if n % 2 == 1:
-        widths.append(2)
-
-    return ObddProgram(
-        kind="deterministic",
-        order=pairing_order(n),
-        widths=tuple(widths),
-        levels=tuple(levels),
-        initial=0,
-        accept=frozenset({ei["ACC"]}),
-        stable=False,
+    odd, even = ["S0", "S1", "ACC"], ["EQ", "ACC"]
+    return _layered(
+        "deterministic", pairing_order(n),
+        [["EQ"]] + [odd, even] * (n // 2) + [even] * (n % 2),
+        [open_pair, close_pair] * (n // 2) + [_keep] * (n % 2),
+        ["ACC"],
     )
 
 

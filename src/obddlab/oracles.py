@@ -500,6 +500,8 @@ def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str,
     if kind not in caps:
         raise ValueError(f"search supports classical kinds, not {kind!r}")
     w = width
+    if w < 1:
+        raise ValueError("width must be >= 1")
     if w > caps[kind]:
         raise CapExceededError(f"{kind} search capped at width {caps[kind]}")
     table = f.truth_table()

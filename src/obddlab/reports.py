@@ -188,6 +188,8 @@ def report_separation_nondet(n: int) -> ReportTable:
 
 def report_hierarchy_small(d_min: int = 2, d_max: int = 8) -> ReportTable:
     """Strict width steps at small widths, one row per modulus d (n = 2d)."""
+    if d_min > d_max:
+        raise ValueError(f"empty modulus range: d_min = {d_min} > d_max = {d_max}")
     rows = []
     for d in range(d_min, d_max + 1):
         n = 2 * d

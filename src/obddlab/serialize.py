@@ -180,6 +180,8 @@ def decode_program(text: str) -> ObddProgram:
     lineno, toks = r.keyword("accept")
     accept = [] if toks == ["-"] else _ints(lineno, toks, "accept")
     stable = _int_line(r, "stable")
+    if stable not in (0, 1):
+        raise ProgramFormatError(r.pos, f"stable must be 0 or 1, got {stable}")
 
     levels = []
     for j in range(1, n + 1):

@@ -107,6 +107,9 @@ def test_report_missing_required_parameter_exits_1(capsys):
     assert code == 1 and "--n is required" in err
     code, _, err = run(capsys, "report", "--task", "markov-analysis")
     assert code == 1 and "--k is required" in err
+    code, _, err = run(capsys, "report", "--task", "hierarchy-small", "--d-min", "5",
+                       "--d-max", "2")
+    assert code == 1 and "empty modulus range" in err
 
 
 def test_markov_verdict_exit_codes(tmp_path, capsys):
@@ -145,6 +148,15 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "build", "--function", "mod", "--model", "quantum",
                        "--k", "3", "--n", "6")
     assert code == 1 and "no construction" in err
+
+
+def test_missing_k_or_width_is_an_error_not_a_traceback(capsys):
+    code, _, err = run(capsys, "build", "--function", "mod", "--model", "deterministic",
+                       "--n", "8")
+    assert code == 1 and "requires the parameter k" in err
+    code, _, err = run(capsys, "minwidth", "--function", "noto", "--n", "6",
+                       "--oracle", "stable-search")
+    assert code == 1 and "--width is required" in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -84,6 +84,31 @@ def test_builders_produce_valid_programs(program):
     assert validate_program(program).ok
 
 
+# one array per kind of level: fan-out/first, then the repeated kinds, then
+# idle (or the NotPAL middle bit) only when such levels exist
+SHARED_LEVELS = [
+    (build_nobdd_noto_fingerprint, (4, 7), {"fan-out", "count", "idle"}),
+    (build_nobdd_noto_fingerprint, (4, 8), {"fan-out", "count", "idle"}),
+    (build_nobdd_noto_fingerprint, (6, 6), {"fan-out", "count"}),
+    (build_det_eqs, (4, 7), {"first", "marker", "value", "idle"}),
+    (build_det_eqs, (4, 10), {"first", "marker", "value", "idle"}),
+    (build_det_eqs, (8, 8), {"first", "marker", "value"}),
+    (build_nobdd_noteqs_fingerprint, (4, 9), {"first", "marker", "value", "idle"}),
+    (build_nobdd_noteqs_fingerprint, (4, 6), {"first", "marker", "value", "idle"}),
+    (build_nobdd_noteqs_fingerprint, (8, 8), {"first", "marker", "value"}),
+    (build_det_notpal, (2,), {"first", "close"}),
+    (build_det_notpal, (8,), {"first", "open", "close"}),
+    (build_det_notpal, (9,), {"first", "open", "close", "middle"}),
+]
+
+
+@pytest.mark.parametrize("build, args, kinds", SHARED_LEVELS,
+                         ids=[f"{b.__name__}{a}" for b, a, _ in SHARED_LEVELS])
+def test_repeated_levels_share_one_array(build, args, kinds):
+    p = build(*args)
+    assert len({id(t) for t in p.levels}) == len(kinds)
+
+
 # ---------------------------------------------------------------------------
 # quantum counting program
 # ---------------------------------------------------------------------------

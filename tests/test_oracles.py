@@ -193,6 +193,13 @@ def test_stable_search_returns_working_nondeterministic_program():
     assert computes(found, f, AcceptanceMode.nondeterministic()).ok
 
 
+@pytest.mark.parametrize("width", [0, -1])
+@pytest.mark.parametrize("kind", ["deterministic", "nondeterministic"])
+def test_stable_search_rejects_widths_below_1(width, kind):
+    with pytest.raises(ValueError, match="width must be >= 1"):
+        stable_exhaustive_search(partial_mod(1, 4), width, kind)
+
+
 def test_stable_search_caps():
     f = partial_mod(1, 6)
     with pytest.raises(CapExceededError):

@@ -57,6 +57,11 @@ def test_hierarchy_small_reports_exact_steps():
         assert row[oracle] == d
 
 
+def test_hierarchy_small_rejects_an_empty_range():
+    with pytest.raises(ValueError, match="empty modulus range"):
+        run_report("hierarchy-small", d_min=5, d_max=2)
+
+
 def test_hierarchy_large_holds_at_d11():
     table = run_report("hierarchy-large", d=11, n=12)
     assert table.all_hold

@@ -122,6 +122,16 @@ def test_decode_single_integer_lines_raise_typed_errors(key, values):
     assert err.value.lineno == at + 1
 
 
+@pytest.mark.parametrize("value", ["2", "-1"])
+def test_decode_rejects_stable_values_other_than_0_and_1(value):
+    lines = encode_program(build_det_mod(2, 4)).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("stable"))
+    lines[at] = "stable " + value
+    with pytest.raises(ProgramFormatError) as err:
+        decode_program("\n".join(lines) + "\n")
+    assert err.value.lineno == at + 1
+
+
 def test_decode_rejects_oversized_dense_levels_at_the_widths_line():
     text = ("obddprogram 1\nkind nondeterministic\nn 2\norder 0 1\n"
             "widths 1 4000 4000\ninitial 0\naccept -\nstable 0\n")
