@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .core import STRUCT_TOL
 
@@ -115,6 +113,11 @@ def classify_states(m: np.ndarray, *, edge_tol: float = EDGE_TOL) -> MarkovDecom
     noise stays below it).  Ergodic classes are the sink components of the
     condensation of that digraph.
     """
+    # imported here: scipy.sparse.csgraph is most of the time and memory of
+    # importing the package, and nothing else needs it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     m = _require_column_stochastic(m)
     d = m.shape[0]
     # adjacency[s][t]: edge s -> t, i.e. transpose of the column convention

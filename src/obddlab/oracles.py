@@ -25,8 +25,11 @@ successor maps.  The first four oracles read its output.
 * :func:`stable_exhaustive_search` -- enumerate every stable ID program of
   a given width and kind, and return one computing the function, or none
   (see below).
-* :func:`min_width_over_orders` -- minimum of the per-order exact oracle
-  over all n! variable orders.
+* :func:`min_width_over_orders` -- minimum exact width over all n!
+  variable orders: one oracle call when the table is invariant under every
+  order, a bottleneck path over the ``2**n`` variable subsets for a total
+  table (``n <= 14``), and the per-order partition search for any other
+  partial table (``n <= 8``).
 
 Partition-sequence search
 -------------------------
@@ -150,10 +153,12 @@ def _ordered_table(f: FunctionSpec, order: VariableOrder | None) -> tuple[np.nda
 def _pair_ranks(left: np.ndarray, right: np.ndarray, k: int):
     """Rank the pairs ``(left[i], right[i])`` of ids below ``k`` in
     lexicographic order.  Returns the distinct pairs as sorted keys
-    ``left * k + right``, and the rank of every input pair."""
+    ``left * k + right``, and the rank of every input pair, flattened in C
+    order if the inputs have more than one axis."""
     key = left.astype(np.int32 if k * k < 1 << 31 else np.int64)
     key *= k
     key += right
+    key = key.reshape(-1)
     # np.unique by hand: its wrapper outweighs the sort at the sizes the
     # order search uses, and its hashing path is slower on large levels
     pairs = np.sort(key)
@@ -162,6 +167,16 @@ def _pair_ranks(left: np.ndarray, right: np.ndarray, k: int):
     np.not_equal(pairs[1:], pairs[:-1], out=distinct[1:])
     pairs = pairs[distinct]
     return pairs, pairs.searchsorted(key)
+
+
+def _leaf_ids(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes of a table, and the rank of every entry among
+    them.  The ranks come from an int8 lookup: searchsorted's int64 ids
+    would be the largest array of a 2**22 table."""
+    leaf = np.flatnonzero(np.bincount(table, minlength=STAR + 1))
+    rank = np.zeros(STAR + 1, dtype=np.int8)
+    rank[leaf] = np.arange(leaf.size)
+    return leaf, rank[table]
 
 
 class _Classes:
@@ -180,12 +195,8 @@ class _Classes:
 
     def __init__(self, table: np.ndarray):
         n = self.n = table.size.bit_length() - 1
-        self.leaf = np.flatnonzero(np.bincount(table, minlength=STAR + 1))
-        # the leaf ids by an int8 lookup: searchsorted's int64 ids would be
-        # the largest array of a 2**22 table
-        rank = np.zeros(STAR + 1, dtype=np.int8)
-        rank[self.leaf] = np.arange(self.leaf.size)
-        self.ids = [None] * n + [rank[table]]
+        self.leaf, leaf_ids = _leaf_ids(table)
+        self.ids = [None] * n + [leaf_ids]
         self._pairs = [None] * n
         k = self.leaf.size
         for j in range(n - 1, -1, -1):
@@ -569,29 +580,117 @@ def _stable_program(kind: str, w: int, n: int, p: int, accept: int) -> ObddProgr
 
 
 # ---------------------------------------------------------------------------
-# order enumeration
+# minimum over variable orders
 # ---------------------------------------------------------------------------
 
-def min_width_over_orders(f: FunctionSpec, *, n_cap: int = 8,
+#: a partial table that is not symmetric gets one partition search per
+#: order; at n = 8 those 40,320 searches already take tens of seconds
+_PERMUTATION_CAP = 8
+
+
+def _symmetric(table: np.ndarray, n: int) -> bool:
+    """Whether the table is invariant under every permutation of its
+    variables: the transposition (0 1) and the cycle (0 1 ... n-1) generate
+    the symmetric group, so invariance under those two suffices (and for
+    n = 1 there is nothing to check)."""
+    return all(np.array_equal(cube_transpose(table, axes), table)
+               for axes in ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1)
+
+
+def _subset_search(table: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """Per-level widths and order of the lexicographically first order of
+    least width of a total table, from the class count of every set ``S``
+    of variables (bit ``v`` of ``S`` is variable ``v``).
+
+    ``count[S]`` is the number of classes of the prefixes over ``S``: the
+    width at level ``|S|`` of every order that reads ``S`` first.  The ids
+    of the assignments to ``S`` (its variables read in increasing order,
+    the first as the high bit) come from the ids of ``S | {v}``, ``v`` the
+    lowest variable missing from ``S``, as :class:`_Classes` gets a level
+    from the one below: ``v`` sits at bit position ``v`` there, so the two
+    halves on ``v`` pair up.  Only two adjacent set sizes are held, about
+    ``3**n`` ids in all.  ``reach[S]``, the least possible maximum of
+    ``count`` along a chain of sets from ``S`` up to all variables, is
+    filled in on the way down; the order then takes, level by level, the
+    lowest variable that keeps the minimum ``reach[0]`` reachable.
+    """
+    full = (1 << n) - 1
+    count = np.empty(1 << n, dtype=np.int64)
+    leaf, leaf_ids = _leaf_ids(table)
+    ids = {full: leaf_ids}
+    count[full] = leaf.size
+    size_of = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    reach = count.copy()
+    for size in range(n - 1, -1, -1):
+        sets = np.flatnonzero(size_of == size)
+        below = {}
+        for s in sets.tolist():
+            v = (~s & (s + 1)).bit_length() - 1
+            above = s | 1 << v
+            halves = ids[above].reshape(1 << v, 2, -1)
+            pairs, below[s] = _pair_ranks(halves[:, 0], halves[:, 1], int(count[above]))
+            count[s] = pairs.size
+        ids = below
+        best = np.full(sets.size, np.iinfo(np.int64).max)
+        for v in range(n):
+            free = (sets >> v & 1) == 0
+            best[free] = np.minimum(best[free], reach[sets[free] | 1 << v])
+        reach[sets] = np.maximum(count[sets], best)
+    chosen, order, per_level = 0, [], [int(count[0])]
+    for _ in range(n):
+        v = next(v for v in range(n) if not chosen >> v & 1 and reach[chosen | 1 << v] <= reach[0])
+        chosen |= 1 << v
+        order.append(v)
+        per_level.append(int(count[chosen]))
+    return per_level, order
+
+
+def min_width_over_orders(f: FunctionSpec, *, n_cap: int = 14,
                           class_cap: int = 12) -> WidthReport:
-    """Minimum exact width over all n! variable orders (n <= ``n_cap``)."""
+    """Minimum exact width over all n! variable orders (n <= ``n_cap``).
+
+    The table picks one of three paths, and ``method`` names it:
+
+    * a table invariant under every order (:func:`_symmetric`, checked on
+      the table, never taken from ``f.symmetry``) gets one exact oracle
+      call under the natural order, within that oracle's own caps;
+    * a total table gets the bottleneck path over the ``2**n`` sets of
+      variables (Friedman & Supowit, "Finding the optimal variable ordering
+      for binary decision diagrams", IEEE Trans. Computers 39(5), 1990):
+      the width at level ``j`` depends only on the set of variables read
+      so far (:func:`_subset_search`);
+    * any other partial table gets the partition search under each of the
+      n! orders, for ``n <= 8``.
+
+    Each path reports the lexicographically first order of least width,
+    with its per-level widths.
+    """
     n = f.n
     if n > n_cap:
-        raise CapExceededError(f"order enumeration needs n <= {n_cap}, got {n}")
-    total = f.total
-    best: WidthReport | None = None
-    for perm in itertools.permutations(range(n)):
-        order = VariableOrder(n, perm)
-        if total:
-            report = subfunction_widths(f, order)
-        else:
-            report = partial_min_width_exact(f, order, class_cap=class_cap, n_cap=n_cap)
-        if best is None or report.max_width < best.max_width:
-            best = report
+        raise CapExceededError(f"order search needs n <= {n_cap}, got {n}")
+    table = f.truth_table()
+    total = STAR not in table
+    if _symmetric(table, n):
+        at = subfunction_widths(f) if total else partial_min_width_exact(f, class_cap=class_cap)
+        per_level, order = at.per_level, at.order
+        method = "one exact oracle call: the table is invariant under every order"
+    elif total:
+        per_level, order = _subset_search(table, n)
+        method = f"bottleneck path over the 2**{n} variable subsets (Friedman & Supowit 1990)"
+    else:
+        if n > _PERMUTATION_CAP:
+            raise CapExceededError(
+                f"order search on a partial table that is not symmetric tries all n! "
+                f"orders and needs n <= {_PERMUTATION_CAP}, got {n}")
+        at = min((partial_min_width_exact(f, VariableOrder(n, perm), class_cap=class_cap)
+                  for perm in itertools.permutations(range(n))),
+                 key=lambda report: report.max_width)  # the first of least width
+        per_level, order = at.per_level, at.order
+        method = f"minimum of the per-order partition search over all {n}! orders"
     return WidthReport(
-        per_level=best.per_level,
-        max_width=best.max_width,
+        per_level=tuple(per_level),
+        max_width=max(per_level),
         kind="exact",
-        method=f"minimum of the per-order exact oracle over all {n}! orders",
-        order=best.order,
+        method=method,
+        order=tuple(order),
     )

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -173,3 +178,18 @@ def test_limiting_distribution_requires_a_regular_chain():
         limiting_distribution(np.eye(2))                # two classes
     with pytest.raises(ValueError):
         limiting_distribution(np.array([[1.0, 0.5], [0.0, 0.5]]))  # transient state
+
+
+def test_importing_the_package_leaves_scipy_sparse_unloaded():
+    """scipy's sparse graph routines load on the first classification, not
+    with the package."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, numpy, obddlab; print('scipy.sparse' in sys.modules); "
+            "obddlab.classify_states(numpy.eye(2)); "
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]

@@ -1,4 +1,7 @@
+import importlib.util
+import inspect
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from obddlab import (
     program_width,
     validate_program,
 )
+from obddlab.core import cube_transpose
 from obddlab.constructions import (
     build_det_eqs,
     build_det_partialmod,
@@ -245,8 +249,72 @@ def test_min_width_over_orders_on_partial_function():
 
 
 def test_min_width_over_orders_cap():
+    n_cap = inspect.signature(min_width_over_orders).parameters["n_cap"].default
     with pytest.raises(CapExceededError):
-        min_width_over_orders(not_o(10))
+        min_width_over_orders(not_o(n_cap + 1))
+
+
+def test_order_search_on_asymmetric_partial_table_is_capped_at_8():
+    table = np.random.default_rng(9).integers(0, 3, size=1 << 9).astype(np.int8)
+    with pytest.raises(CapExceededError, match="n <= 8"):
+        min_width_over_orders(from_table(table))
+
+
+SYMMETRIC = "invariant under every order"
+
+
+def test_symmetry_shortcut_reads_the_table_not_the_tag():
+    for f in (not_o(8), partial_mod(1, 6)):
+        tagged = min_width_over_orders(f)
+        copy = min_width_over_orders(from_table(f.truth_table()))
+        assert SYMMETRIC in tagged.method and SYMMETRIC in copy.method
+        assert (copy.per_level, copy.order) == (tagged.per_level, tagged.order)
+
+
+def _invariant(n, generator, rng):
+    """A random table invariant under the variable permutation
+    ``generator``: the OR of a random table over its orbit."""
+    table = rng.integers(0, 2, size=1 << n).astype(np.int8)
+    for _ in range(n):  # OR over the powers 0..n of a generator of order <= n
+        table = table | cube_transpose(table, generator)
+    assert np.array_equal(cube_transpose(table, generator), table)
+    return table
+
+
+@pytest.mark.parametrize("generator", [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)],
+                         ids=["transposition", "cycle"])
+def test_one_generator_of_the_symmetric_group_is_not_enough(generator):
+    """Tables invariant under only (0 1), or only (0 1 2 3 4), take the
+    subset search and agree with the n! reference."""
+    rng = np.random.default_rng(5)
+    tried = 0
+    while tried < 5:
+        table = _invariant(5, generator, rng)
+        if all(np.array_equal(cube_transpose(table, perm), table)
+               for perm in itertools.permutations(range(5))):
+            continue
+        tried += 1
+        f = from_table(table)
+        report = min_width_over_orders(f)
+        assert SYMMETRIC not in report.method
+        assert report.max_width == min(
+            subfunction_widths(f, VariableOrder(5, perm)).max_width
+            for perm in itertools.permutations(range(5)))
+
+
+def test_subset_search_matches_the_bench_reference_at_n_8_to_10():
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    rng = np.random.default_rng(11)
+    cases = [random_total_table(rng, n) for n in (8, 9, 10)] + [not_pal(9), eqs(4, 10)]
+    for f in cases:
+        report = min_width_over_orders(f)
+        assert "subsets" in report.method
+        assert report.max_width == reference.min_width_over_orders(f.truth_table(), f.n)
+        at = subfunction_widths(f, VariableOrder(f.n, report.order))
+        assert at.per_level == report.per_level
 
 
 # ---------------------------------------------------------------------------

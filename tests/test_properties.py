@@ -278,6 +278,21 @@ def test_partition_oracle_matches_subfunction_oracle_on_total_tables(f):
             == subfunction_widths(f).per_level)
 
 
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.sampled_from([0, 1]), min_size=1 << n, max_size=1 << n)))
+@settings(max_examples=40, deadline=None)
+def test_order_search_report_matches_the_permutation_loop(values):
+    """The whole report -- widths, maximum and order -- is the one of the
+    first order of least width in ``itertools.permutations`` order."""
+    f = from_table(np.array(values, dtype=np.int8))
+    best = min((subfunction_widths(f, VariableOrder(f.n, perm))
+                for perm in itertools.permutations(range(f.n))),
+               key=lambda report: report.max_width)
+    report = oracles.min_width_over_orders(f)
+    assert (report.per_level, report.max_width, report.order) == (
+        best.per_level, best.max_width, best.order)
+
+
 @given(random_tables(codes=[0, 1, 2]))
 @settings(max_examples=25, deadline=None)
 def test_minimal_program_for_random_partial_tables(f):
