@@ -206,10 +206,7 @@ def not_o_prefix(k: int, n: int) -> FunctionSpec:
         name="NotOk", n=n, k=k, symmetry="prefix_ones",
         _evaluate=lambda x: int(sum(x[:k]) != k // 2),
         _build_table=lambda: _table_from_prefix_values(
-            n, k,
-            np.array([int(int(np.bitwise_count(np.uint64(p))) != k // 2)
-                      for p in range(1 << k)], dtype=np.int8),
-        ),
+            n, k, (_popcounts(k) != k // 2).astype(np.int8)),
     )
 
 

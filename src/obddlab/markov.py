@@ -22,8 +22,10 @@ that cannot separate the two residue classes.  Moreover some single class
 period must be divisible by ``2**(k+1)`` (powers of two in an lcm come from
 one term), which forces at least ``2**(k+1)`` states.
 
-Periods and cyclic subsets are computed structurally (BFS level labels and
-gcds over edges), never from matrix powers.
+Boolean matrix products serve only reachability, which splits the states
+into classes.  Periods and cyclic subsets come from the structure of
+each class: BFS depths and gcds over its edges, never from matrix powers of
+the chain.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ def _require_column_stochastic(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=0))
+    if bad.size:
+        raise ValueError(f"column {int(bad[0])} has a non-finite entry")
     if np.any(m < -STRUCT_TOL):
         raise ValueError("matrix has negative entries")
     sums = m.sum(axis=0)
@@ -81,82 +86,73 @@ def _require_column_stochastic(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _class_period_and_subsets(nodes: list[int], adj: dict[int, list[int]]):
-    """Period (gcd of closed-walk lengths) and rotation-ordered cyclic subsets."""
-    root = nodes[0]
-    level = {root: 0}
+def _class_period_and_subsets(edges: np.ndarray, members: np.ndarray):
+    """Period (gcd of closed-walk lengths) and rotation-ordered cyclic
+    subsets of a closed class, from BFS depths below its least member."""
+    src, dst = np.nonzero(edges[members])  # the class is closed: no edge leaves it
+    src, dst = members[src].tolist(), dst.tolist()
+    succ: dict[int, list[int]] = {u: [] for u in members.tolist()}
+    for u, v in zip(src, dst):
+        succ[u].append(v)
+    root = int(members[0])
+    depth = {root: 0}
     frontier = [root]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in adj[u]:
-                if v not in level:
-                    level[v] = level[u] + 1
+            for v in succ[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
                     nxt.append(v)
         frontier = nxt
-    g = 0
-    for u in nodes:
-        for v in adj[u]:
-            g = math.gcd(g, level[u] + 1 - level[v])
-    period = abs(g) if g else 1
-    subsets = [set() for _ in range(period)]
-    for u in nodes:
-        subsets[level[u] % period].add(u)
+    period = math.gcd(*(depth[u] + 1 - depth[v] for u, v in zip(src, dst)))
+    subsets: list[set[int]] = [set() for _ in range(period)]
+    for u, du in depth.items():
+        subsets[du % period].add(u)
     return period, tuple(frozenset(s) for s in subsets)
 
 
-def classify_states(m: np.ndarray, *, edge_tol: float = EDGE_TOL) -> MarkovDecomposition:
+def classify_states(m: np.ndarray) -> MarkovDecomposition:
     """Decompose a column-stochastic matrix into transient states and
     ergodic classes with periods and cyclic subsets.
 
-    Edges are entries above ``edge_tol`` (structural zeros only; rounding
-    noise stays below it).  Ergodic classes are the sink components of the
-    condensation of that digraph.
+    Edges are entries above :data:`EDGE_TOL` (structural zeros only;
+    rounding noise stays below it).  A state is ergodic iff every state it
+    reaches reaches it back, and its class is the set of states it
+    reaches.  Reachability is the reflexive-transitive closure of the edges,
+    found by repeated squaring of a 0/1 matrix, so a chain of ``d`` states
+    costs O(d**3 log d).
     """
-    # imported here: scipy.sparse.csgraph is most of the time and memory of
-    # importing the package, and nothing else needs it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     m = _require_column_stochastic(m)
-    d = m.shape[0]
-    # adjacency[s][t]: edge s -> t, i.e. transpose of the column convention
-    edges = m.T > edge_tol
-    n_comp, labels = connected_components(
-        csgraph=csr_matrix(edges), directed=True, connection="strong"
-    )
-    has_exit = np.zeros(n_comp, dtype=bool)  # sink components are the ergodic sets
-    src, dst = np.nonzero(edges)
-    for s, t in zip(src, dst):
-        if labels[s] != labels[t]:
-            has_exit[labels[s]] = True
-
-    adj = {s: [int(t) for t in np.flatnonzero(edges[s])] for s in range(d)}
-    transient: set[int] = set()
+    edges = m.T > EDGE_TOL  # edges[s, t]: one step goes from state s to state t
+    reach = edges | np.eye(len(m), dtype=bool)
+    # after i squarings reach holds every walk of length <= 2**i; float32
+    # counts of at most d walks are exact for d < 2**24
+    for _ in range((len(m) - 1).bit_length()):
+        r = reach.astype(np.float32)
+        closure = (r @ r) > 0
+        if np.array_equal(closure, reach):
+            break
+        reach = closure
+    ergodic = ~np.any(reach & ~reach.T, axis=1)
+    # an ergodic state reaches exactly its class: it is the class's least
+    # member iff it reaches no lower state
+    roots = np.flatnonzero(ergodic & ~np.tril(reach, -1).any(axis=1))
     classes: list[frozenset[int]] = []
     periods: list[int] = []
     subsets: list[tuple[frozenset[int], ...]] = []
-    for comp in range(n_comp):
-        members = [int(s) for s in np.flatnonzero(labels == comp)]
-        if has_exit[comp]:
-            transient.update(members)
-            continue
-        inner = {u: [v for v in adj[u] if labels[v] == comp] for u in members}
-        period, cyc = _class_period_and_subsets(members, inner)
-        classes.append(frozenset(members))
+    for root in roots.tolist():
+        members = np.flatnonzero(reach[root])
+        period, cyc = _class_period_and_subsets(edges, members)
+        classes.append(frozenset(members.tolist()))
         periods.append(period)
         subsets.append(cyc)
-
-    order = sorted(range(len(classes)), key=lambda i: min(classes[i]))
-    classes = [classes[i] for i in order]
-    periods = [periods[i] for i in order]
-    subsets = [subsets[i] for i in order]
     return MarkovDecomposition(
-        transient=frozenset(transient),
+        transient=frozenset(np.flatnonzero(~ergodic).tolist()),
         ergodic_classes=tuple(classes),
         periods=tuple(periods),
         cyclic_subsets=tuple(subsets),
-        period_lcm=math.lcm(*periods) if periods else 1,
+        period_lcm=math.lcm(*periods),
     )
 
 
@@ -204,13 +200,12 @@ def period_lcm_certificate(dec: MarkovDecomposition, k: int) -> CertificateResul
     )
 
 
-def limiting_distribution(m: np.ndarray, *, tol: float = 1e-10,
-                          max_iterations: int = 1_000_000) -> np.ndarray:
-    """Stationary vector of a regular chain by power iteration.
+def limiting_distribution(m: np.ndarray) -> np.ndarray:
+    """Stationary vector of a regular chain.
 
     Requires the whole matrix to form one ergodic class of period 1 (a
-    regular chain); iterates ``v <- M v`` from the uniform vector until the
-    sup-norm step falls below ``tol``.
+    regular chain), whose stationary vector is the unique solution of
+    ``M v = v`` with ``sum(v) = 1``; that system is solved by least squares.
     """
     m = _require_column_stochastic(m)
     dec = classify_states(m)
@@ -220,10 +215,8 @@ def limiting_distribution(m: np.ndarray, *, tol: float = 1e-10,
             f"(got {len(dec.ergodic_classes)} classes, periods {dec.periods}, "
             f"{len(dec.transient)} transient states)"
         )
-    v = np.full(m.shape[0], 1.0 / m.shape[0])
-    for _ in range(max_iterations):
-        nxt = m @ v
-        if np.max(np.abs(nxt - v)) <= tol:
-            return nxt
-        v = nxt
-    raise RuntimeError(f"power iteration did not converge in {max_iterations} steps")
+    d = len(m)
+    system = np.vstack([m - np.eye(d), np.ones(d)])
+    target = np.zeros(d + 1)
+    target[-1] = 1.0
+    return np.linalg.lstsq(system, target)[0]

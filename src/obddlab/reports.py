@@ -243,8 +243,6 @@ def report_markov_analysis(k: int, n: int | None = None) -> ReportTable:
         n = 2 * m
     rows = []
     for modulus, expect_pass in ((m, True), (m - 1, False)):
-        if modulus < 1:
-            continue
         chain = stable_symbol_chain(cons.build_det_counter(modulus, n), 1)
         dec = classify_states(chain)
         cert = period_lcm_certificate(dec, k)

@@ -49,6 +49,11 @@ def test_identity_matrix_gives_singleton_regular_classes():
     assert dec.period_lcm == 1
 
 
+def test_empty_chain_has_no_classes():
+    dec = classify_states(np.zeros((0, 0)))
+    assert (dec.transient, dec.ergodic_classes, dec.period_lcm) == (frozenset(), (), 1)
+
+
 def test_two_cycle():
     dec = classify_states(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert dec.ergodic_classes == (frozenset({0, 1}),)
@@ -95,6 +100,17 @@ def test_classify_rejects_non_stochastic_input():
         classify_states(np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         classify_states(np.array([[1.5, 0.0], [-0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("function", [classify_states, limiting_distribution])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_rejected(function, bad):
+    m = np.eye(3)
+    m[2, 1] = bad
+    with pytest.raises(ValueError, match="column 1 has a non-finite entry"):
+        function(m)
+    with pytest.raises(ValueError, match="column 0 has a non-finite entry"):
+        function(np.array([[bad, 0.0], [bad, 1.0]]))
 
 
 def test_rounding_noise_is_not_an_edge():
@@ -181,15 +197,17 @@ def test_limiting_distribution_requires_a_regular_chain():
 
 
 def test_importing_the_package_leaves_scipy_sparse_unloaded():
-    """scipy's sparse graph routines load on the first classification, not
-    with the package."""
+    """No scipy module loads with the package, a classification, a limiting
+    distribution or the Markov report."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = ("import sys, numpy, obddlab; print('scipy.sparse' in sys.modules); "
+    code = ("import sys, numpy, obddlab; "
             "obddlab.classify_states(numpy.eye(2)); "
-            "print('scipy.sparse.csgraph' in sys.modules)")
+            "obddlab.limiting_distribution(numpy.full((2, 2), 0.5)); "
+            "obddlab.run_report('markov-analysis', k=1); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "True"]
+    assert result.stdout.split() == ["[]"]

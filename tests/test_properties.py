@@ -271,6 +271,77 @@ def test_random_stochastic_chains_decompose_cleanly(size, seed):
             assert targets <= cls
 
 
+@st.composite
+def sparse_chains(draw):
+    """Successor sets of at most 12 states.  Most edges step from one of
+    ``layers`` labels to the next, so closed classes tend to be cyclic; a
+    few free edges add transient states and break some cycles."""
+    size = draw(st.integers(1, 12))
+    layers = draw(st.integers(1, 4))
+    layer = draw(st.lists(st.integers(0, layers - 1), min_size=size, max_size=size))
+    state = st.integers(0, size - 1)
+    pairs = draw(st.lists(st.tuples(state, state), max_size=3 * size))
+    free = draw(st.lists(st.tuples(state, state), max_size=2))
+    succ = [set() for _ in range(size)]
+    for s, t in pairs:
+        if layer[t] == (layer[s] + 1) % layers:
+            succ[s].add(t)
+    for s, t in free:
+        succ[s].add(t)
+    for s in range(size):
+        if not succ[s]:
+            succ[s].add(draw(state))
+    return succ
+
+
+def reference_classification(succ):
+    """Transient set, classes, periods, cyclic subsets and lcm of a chain
+    given by successor sets, from BFS over Python sets."""
+    size = len(succ)
+    reach = []
+    for s in range(size):
+        seen, todo = {s}, [s]
+        while todo:
+            for v in succ[todo.pop()] - seen:
+                seen.add(v)
+                todo.append(v)
+        reach.append(seen)
+    ergodic = [all(s in reach[t] for t in reach[s]) for s in range(size)]
+    classes, periods, subsets = [], [], []
+    for root in range(size):
+        if not ergodic[root] or min(reach[root]) != root:
+            continue
+        depth, frontier = {root: 0}, [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in succ[u] - depth.keys():
+                    depth[v] = depth[u] + 1
+                    nxt.append(v)
+            frontier = nxt
+        period = 0
+        for u in reach[root]:
+            for v in succ[u]:
+                period = math.gcd(period, depth[u] + 1 - depth[v])
+        classes.append(frozenset(reach[root]))
+        periods.append(period)
+        subsets.append(tuple(frozenset(u for u in reach[root] if depth[u] % period == r)
+                             for r in range(period)))
+    transient = frozenset(s for s in range(size) if not ergodic[s])
+    return transient, tuple(classes), tuple(periods), tuple(subsets), math.lcm(*periods)
+
+
+@given(sparse_chains())
+@settings(max_examples=300, deadline=None)
+def test_classification_matches_a_set_based_reference(succ):
+    m = np.zeros((len(succ), len(succ)))
+    for s, targets in enumerate(succ):
+        m[list(targets), s] = 1.0 / len(targets)
+    dec = classify_states(m)
+    assert (dec.transient, dec.ergodic_classes, dec.periods, dec.cyclic_subsets,
+            dec.period_lcm) == reference_classification(succ)
+
+
 @given(random_tables(codes=[0, 1]))
 @settings(max_examples=40, deadline=None)
 def test_partition_oracle_matches_subfunction_oracle_on_total_tables(f):
