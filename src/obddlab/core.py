@@ -230,7 +230,18 @@ class ObddProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        object.__setattr__(self, "levels", tuple(np.asarray(t) for t in self.levels))
+        # deterministic levels are kept node-major (see level_map), which
+        # the kernel reads without a copy; each distinct object is converted
+        # once, so a stable program still repeats one array
+        arrays = {}
+        for t in self.levels:
+            if id(t) not in arrays:
+                a = np.asarray(t)
+                if a.ndim == 2 and not a.T.flags.c_contiguous:
+                    a = np.ascontiguousarray(a.T).T
+                    a.setflags(write=False)
+                arrays[id(t)] = a
+        object.__setattr__(self, "levels", tuple(arrays[id(t)] for t in self.levels))
         object.__setattr__(self, "accept", frozenset(int(a) for a in self.accept))
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")

@@ -128,13 +128,14 @@ def _rep(m: int, length: int) -> tuple[int, ...]:
 # table helpers
 # ---------------------------------------------------------------------------
 
-def _popcounts(n: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-
-
 def _table_from_count_profile(n: int, profile: Sequence[int | None]) -> np.ndarray:
-    codes = np.array([STAR if v is None else v for v in profile], dtype=np.int8)
-    return codes[_popcounts(n)]
+    # row s of t holds codes[s + popcount(x)] over the x seen so far: each
+    # pass puts a new high bit in front, 0 from row s and 1 from row s + 1,
+    # so after n passes the one row left is the table (no index array)
+    t = np.array([STAR if v is None else v for v in profile], dtype=np.int8)[:, None]
+    for _ in range(n):
+        t = np.concatenate([t[:-1], t[1:]], axis=1)
+    return t[0]
 
 
 def _table_from_prefix_values(n: int, k: int, prefix_values: np.ndarray) -> np.ndarray:
@@ -206,7 +207,7 @@ def not_o_prefix(k: int, n: int) -> FunctionSpec:
         name="NotOk", n=n, k=k, symmetry="prefix_ones",
         _evaluate=lambda x: int(sum(x[:k]) != k // 2),
         _build_table=lambda: _table_from_prefix_values(
-            n, k, (_popcounts(k) != k // 2).astype(np.int8)),
+            n, k, _table_from_count_profile(k, [int(2 * m != k) for m in range(k + 1)])),
     )
 
 
@@ -237,12 +238,21 @@ def not_power(n: int) -> FunctionSpec:
 
 
 def _eqs_prefix_values(k: int) -> np.ndarray:
-    vals = np.empty(1 << k, dtype=np.int8)
-    for p in range(1 << k):
-        bits = tuple((p >> (k - 1 - j)) & 1 for j in range(k))
-        s = split_marker_value(bits, k)
-        vals[p] = int(s.alpha == s.beta)
-    return vals
+    """EQS on every ``k``-bit prefix at once: each marker/value pair
+    appends its value bit to the code of ``alpha`` or of ``beta`` and adds
+    one to that string's length; equal strings have equal lengths and
+    equal codes."""
+    p = np.arange(1 << k, dtype=np.int32)
+    a, b, la, lb = (np.zeros_like(p) for _ in range(4))
+    for i in range(k // 2):
+        marker = p >> (k - 1 - 2 * i) & 1
+        value = p >> (k - 2 - 2 * i) & 1
+        to_a = marker ^ 1
+        a = a << to_a | value & to_a
+        b = b << marker | value & marker
+        la += to_a
+        lb += marker
+    return ((la == lb) & (a == b)).astype(np.int8)
 
 
 def eqs(k: int, n: int) -> FunctionSpec:
@@ -336,14 +346,17 @@ def format_truth_table(f: FunctionSpec) -> str:
 
 
 def from_table(values: np.ndarray, name: str = "table") -> FunctionSpec:
-    """Wrap an explicit table (codes {0, 1, STAR}) as a FunctionSpec."""
-    values = np.asarray(values, dtype=np.int8)
+    """Wrap an explicit table (codes {0, 1, STAR}) as a FunctionSpec.
+
+    Each entry must equal 0, 1 or STAR exactly; it is checked before the
+    cast to int8, which would wrap 257 to 1 and truncate 1.7 to 1."""
+    values = np.asarray(values)
     n = values.size.bit_length() - 1
     if values.ndim != 1 or n < 1 or values.size != 1 << n:
         raise ValueError(f"table shape {values.shape} is not (2**n,) for some n >= 1")
     if not np.all((values == 0) | (values == 1) | (values == STAR)):
         raise ValueError("table entries must be 0, 1 or STAR")
-    values = values.copy()
+    values = values.astype(np.int8)
     values.setflags(write=False)
 
     def ev(x: tuple[int, ...]) -> int | None:

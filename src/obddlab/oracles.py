@@ -150,40 +150,87 @@ def _ordered_table(f: FunctionSpec, order: VariableOrder | None) -> tuple[np.nda
     return cube_transpose(f.truth_table(), order.perm), order
 
 
+#: below this many keys :func:`_pair_ranks` ranks by ``searchsorted``,
+#: whose fixed cost is the least, and the order search makes thousands of
+#: calls that small; past it ``searchsorted`` grows fastest.  CPU us per
+#: call on random int32 keys (2 shared x86-64 cores, numpy 2.4): 256 keys
+#: 9-11 by searchsorted, 11 by lookup, 17 by argsort; 1,024 keys 19-85,
+#: 15-17 and 26-39.  Over the order search at n = 14, 512 beat 256 by
+#: 8-12% on NotPAL and EQS and lost 5% on a random table.
+_SEARCHSORTED_KEYS = 1 << 9
+
+
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """Flags of the first entry of each run of equal sorted keys."""
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
 def _pair_ranks(left: np.ndarray, right: np.ndarray, k: int):
     """Rank the pairs ``(left[i], right[i])`` of ids below ``k`` in
     lexicographic order.  Returns the distinct pairs as sorted keys
     ``left * k + right``, and the rank of every input pair, flattened in C
-    order if the inputs have more than one axis."""
-    key = left.astype(np.int32 if k * k < 1 << 31 else np.int64)
+    order if the inputs have more than one axis.  The keys are int32 while
+    ``k * k < 2**31`` and int64 past it; the ranks are always int32.
+
+    One of three regimes ranks the keys, each linear past its sort:
+
+    * many classes (``_SEARCHSORTED_KEYS <= keys < k * k``): one
+      ``argsort``, and the running count of distinct keys along it
+      scattered back through the order;
+    * fewer than ``_SEARCHSORTED_KEYS`` keys: sort, and ``searchsorted``
+      every key among the distinct ones;
+    * few classes (``k * k <= keys``): sort, and fill a table of all
+      ``k * k`` keys with the ranks of the distinct ones, then ``take``
+      each key's rank from it.
+    """
+    dtype = np.int32 if k * k < 1 << 31 else np.int64
+    key = left.astype(dtype)
     key *= k
     key += right
     key = key.reshape(-1)
     # np.unique by hand: its wrapper outweighs the sort at the sizes the
     # order search uses, and its hashing path is slower on large levels
-    pairs = np.sort(key)
-    distinct = np.empty(pairs.size, dtype=bool)
-    distinct[0] = True
-    np.not_equal(pairs[1:], pairs[:-1], out=distinct[1:])
-    pairs = pairs[distinct]
-    return pairs, pairs.searchsorted(key)
+    if _SEARCHSORTED_KEYS <= key.size < k * k:
+        order = key.argsort()
+        ordered = key.take(order)
+        first = _distinct(ordered)
+        ranks = np.cumsum(first, dtype=np.int32)
+        ranks -= 1
+        ids = np.empty(key.size, dtype=np.int32)
+        ids[order] = ranks
+        return ordered[first], ids
+    pairs = key.copy()
+    pairs.sort()
+    pairs = pairs[_distinct(pairs)]
+    if key.size < _SEARCHSORTED_KEYS:
+        return pairs, pairs.searchsorted(key).astype(np.int32)
+    lookup = np.empty(k * k, dtype=np.int32)
+    lookup[pairs] = np.arange(pairs.size, dtype=np.int32)
+    # take, not lookup[key]: indexing converts the keys to intp first
+    return pairs, lookup.take(key)
 
 
 def _leaf_ids(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct codes of a table, and the rank of every entry among
-    them.  The ranks come from an int8 lookup: searchsorted's int64 ids
-    would be the largest array of a 2**22 table."""
-    leaf = np.flatnonzero(np.bincount(table, minlength=STAR + 1))
-    rank = np.zeros(STAR + 1, dtype=np.int8)
-    rank[leaf] = np.arange(leaf.size)
-    return leaf, rank[table]
+    them, as int8.  The codes are 0, 1 and STAR = 2, so they run from the
+    least to the greatest code present with at most a missing 1 between:
+    the ranks are ``table - least``, or ``table >> 1`` for codes {0, STAR}.
+    A few linear passes and no index array of the table's size."""
+    lo, hi = int(table.min()), int(table.max())
+    gap = lo == 0 and hi == STAR and not (table == 1).any()
+    leaf = np.array([0, STAR] if gap else range(lo, hi + 1), dtype=np.int8)
+    return leaf, table >> 1 if gap else table - lo
 
 
 class _Classes:
     """The prefix classes of an ordered table at every level ``0..n``.
 
     * ``ids[j][p]`` -- class of the length-``j`` prefix ``p`` (its bits in
-      test order, read as a number);
+      test order, read as a number): int8 at level ``n`` (:func:`_leaf_ids`),
+      int32 above it (:func:`_pair_ranks`);
     * ``counts[j]`` -- number of classes at level ``j``;
     * ``succ[j] = (s0, s1)`` -- class of each class's 0- and 1-extension;
     * ``leaf[c]`` -- the code {0, 1, STAR} of level-``n`` class ``c``.

@@ -10,6 +10,7 @@ from obddlab import (
     ModeKindMismatchError,
     NotStableError,
     ObddProgram,
+    acceptance_table,
     computes,
     level_map,
     level_relation,
@@ -454,3 +455,27 @@ def test_bounded_error_mode_thresholds():
     always_one = from_table(np.ones(4, dtype=np.int8))
     assert computes(p, always_one, AcceptanceMode.bounded_error(0.3)).ok
     assert not computes(p, always_one, AcceptanceMode.bounded_error(0.4)).ok
+
+
+@pytest.mark.parametrize("build", [lambda: build_det_mod(3, 10), lambda: build_det_eqs(4, 8)],
+                         ids=["stable", "layered"])
+def test_c_ordered_deterministic_levels_are_stored_node_major(build):
+    p = build()
+    # one C-ordered copy per distinct level object, as a hand-built
+    # program would pass them
+    c_ordered = {id(t): np.ascontiguousarray(t) for t in p.levels}
+    hand = ObddProgram(kind=p.kind, order=p.order, widths=p.widths,
+                       levels=tuple(c_ordered[id(t)] for t in p.levels),
+                       initial=p.initial, accept=p.accept, stable=p.stable)
+    assert all(t.flags.c_contiguous and t.ndim == 2 for t in c_ordered.values())
+    assert all(t.T.flags.c_contiguous for t in hand.levels)
+    for a, b in zip(hand.levels, p.levels):
+        assert np.array_equal(a, b)
+    # a level object shared in the input stays shared
+    def sharing(levels):
+        ids = [id(t) for t in levels]
+        return [ids.index(i) for i in ids]
+
+    assert sharing(hand.levels) == sharing(p.levels)
+    assert validate_program(hand).ok
+    assert np.array_equal(acceptance_table(hand), acceptance_table(p))

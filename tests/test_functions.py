@@ -19,6 +19,8 @@ from obddlab.functions import (
     partial_mod,
     read_truth_table,
     split_marker_value,
+    _eqs_prefix_values,
+    _table_from_count_profile,
 )
 
 
@@ -139,6 +141,26 @@ def test_truth_table_matches_the_per_input_evaluator(f):
     assert f.truth_table().tolist() == [STAR if v is None else v for v in want]
 
 
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_eqs_prefix_values_match_the_split_marker_value_loop(k):
+    want = []
+    for p in range(1 << k):
+        s = split_marker_value(format(p, f"0{k}b"), k)
+        want.append(int(s.alpha == s.beta))
+    got = _eqs_prefix_values(k)
+    assert got.dtype == np.int8
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 11, 16])
+def test_count_profile_tables_index_the_codes_by_popcount(n):
+    codes = np.random.default_rng(n).integers(0, 3, n + 1).astype(np.int8)
+    profile = [None if c == STAR else int(c) for c in codes]
+    got = _table_from_count_profile(n, profile)
+    assert got.dtype == np.int8
+    assert got.tolist() == [int(codes[bin(i).count("1")]) for i in range(1 << n)]
+
+
 # ---------------------------------------------------------------------------
 # family invariants
 # ---------------------------------------------------------------------------
@@ -241,6 +263,19 @@ def test_from_table_checks_entries():
         from_table(np.array([0, 1, 3, 0], dtype=np.int8))
     with pytest.raises(ValueError):
         from_table(np.array([0, 1, 1], dtype=np.int8))
+
+
+@pytest.mark.parametrize("values", [[0, 257], [0.0, 1.7], [0, -254]], ids=str)
+def test_from_table_checks_entries_before_the_int8_cast(values):
+    # cast first, these would read as [0, 1], [0, 1] and [0, STAR]
+    with pytest.raises(ValueError, match="0, 1 or STAR"):
+        from_table(np.array(values))
+
+
+def test_from_table_accepts_exact_codes_of_any_dtype():
+    table = from_table(np.array([0.0, 1.0, 2.0, 1.0])).truth_table()
+    assert table.dtype == np.int8
+    assert table.tolist() == [0, 1, STAR, 1]
 
 
 def test_from_table_rejects_a_table_without_variables():

@@ -1,6 +1,8 @@
+import importlib.util
 import io
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,6 +533,79 @@ def test_bottom_up_classes_match_the_row_dict_reference(case):
         for a, b in itertools.product(range(len(rows)), repeat=2):
             want = any({x, y} == {0, 1} for x, y in zip(rows[a], rows[b]))
             assert bool(clash[a] >> b & 1) == want
+
+
+#: keys on either side of the crossover of _pair_ranks from searchsorted
+#: to a lookup table or an argsort
+RANK_SIZES = [1, 2, 7, 100, oracles._SEARCHSORTED_KEYS - 1, oracles._SEARCHSORTED_KEYS,
+              oracles._SEARCHSORTED_KEYS + 1, 3 * oracles._SEARCHSORTED_KEYS]
+
+
+@st.composite
+def pair_rank_cases(draw):
+    """Ids below ``k`` for ``_pair_ranks``, with ``k * k`` below and above
+    the key count, as two flat id arrays or as the two halves of a 2-D id
+    array split on one bit, as the subset search passes them."""
+    size = draw(st.sampled_from(RANK_SIZES))
+    k = draw(st.sampled_from([1, 2, 3, 17, 60, 50_000]))  # 50,000**2 > 2**31
+    used = draw(st.integers(1, k))  # how many of the k ids occur
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = rng.choice(k, size=min(used, 64), replace=False)
+    split = draw(st.sampled_from(["flat", "halves"]))
+    if split == "flat":
+        left, right = (alphabet[rng.integers(0, alphabet.size, size)] for _ in range(2))
+    else:
+        # split on bit ``low``: a power of two that divides the key count
+        low = draw(st.integers(0, (size & -size).bit_length() - 1))
+        ids = alphabet[rng.integers(0, alphabet.size, 2 * size)].reshape(-1, 2, 1 << low)
+        left, right = ids[:, 0], ids[:, 1]
+    dtype = draw(st.sampled_from([np.int8, np.int32, np.int64])) if k <= 100 else np.int32
+    return left.astype(dtype), right.astype(dtype), k
+
+
+@given(pair_rank_cases())
+@settings(max_examples=300, deadline=None)
+def test_pair_ranks_match_numpy_unique(case):
+    left, right, k = case
+    pairs, ids = oracles._pair_ranks(left, right, k)
+    key = (left.astype(np.int64) * k + right).reshape(-1)
+    want_pairs, want_ids = np.unique(key, return_inverse=True)
+    assert pairs.tolist() == want_pairs.tolist()
+    assert ids.tolist() == want_ids.tolist()
+    assert ids.dtype == np.int32
+    assert pairs.dtype == (np.int32 if k * k < 1 << 31 else np.int64)
+
+
+def load_bench_reference():
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return reference
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+@pytest.mark.parametrize("shape", ["first bits", "last bits", "last 8 bits", "uniform"])
+@pytest.mark.parametrize("codes", [[0, 1], [0, 1, STAR]], ids=["total", "partial"])
+def test_class_counts_match_the_bench_reference(n, shape, codes):
+    # few classes per level when the table reads 3 of its bits, many when
+    # it is uniform; partial tables reach the argsort regime at n >= 10,
+    # and when they read only their last 8 bits, the prefixes of one class
+    # there lie apart, so ranks scattered to the wrong prefixes change the
+    # count of the level above
+    rng = np.random.default_rng(n)
+    if shape == "uniform":
+        table = rng.choice(codes, 1 << n)
+    elif shape == "last 8 bits":
+        table = np.tile(rng.choice(codes, 1 << 8), 1 << (n - 8))
+    else:
+        small = rng.choice(codes, 1 << 3)
+        table = np.repeat(small, 1 << (n - 3)) if shape == "first bits" else np.tile(small, 1 << (n - 3))
+    table = table.astype(np.int8).reshape(-1)
+    classes = oracles._Classes(table)
+    assert classes.counts == load_bench_reference().natural_widths(table, n)
+    assert classes.ids[n].dtype == np.int8
+    assert all(ids.dtype == np.int32 for ids in classes.ids[:n])
 
 
 # ---------------------------------------------------------------------------
