@@ -741,15 +741,23 @@ def _lift(t: np.ndarray, w_out: int) -> np.ndarray:
 
 
 def lift_deterministic(p: ObddProgram) -> ObddProgram:
-    """View a deterministic program as a probabilistic one with 0/1 matrices."""
+    """View a deterministic program as a probabilistic one with 0/1 matrices.
+
+    Each distinct level object is lifted once per target width, so the
+    lifted program shares its levels where ``p`` does: a stable counter
+    lifts to one matrix pair, not one per level."""
     if p.kind != "deterministic":
         raise ValueError("lift applies to deterministic programs")
     p.require_valid()
+    lifted: dict[tuple[int, int], np.ndarray] = {}
+    for t, w in zip(p.levels, p.widths[1:]):
+        if (id(t), w) not in lifted:
+            lifted[id(t), w] = _lift(t, w)
     return ObddProgram(
         kind="probabilistic",
         order=p.order,
         widths=p.widths,
-        levels=tuple(_lift(t, w) for t, w in zip(p.levels, p.widths[1:])),
+        levels=tuple(lifted[id(t), w] for t, w in zip(p.levels, p.widths[1:])),
         initial=p.initial,
         accept=p.accept,
         stable=p.stable,

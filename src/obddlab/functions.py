@@ -349,12 +349,13 @@ def from_table(values: np.ndarray, name: str = "table") -> FunctionSpec:
     """Wrap an explicit table (codes {0, 1, STAR}) as a FunctionSpec.
 
     Each entry must equal 0, 1 or STAR exactly; it is checked before the
-    cast to int8, which would wrap 257 to 1 and truncate 1.7 to 1."""
+    cast to int8, which would wrap 257 to 1 and truncate 1.7 to 1.  Complex
+    arrays are refused whole, since their cast warns even on exact codes."""
     values = np.asarray(values)
     n = values.size.bit_length() - 1
     if values.ndim != 1 or n < 1 or values.size != 1 << n:
         raise ValueError(f"table shape {values.shape} is not (2**n,) for some n >= 1")
-    if not np.all((values == 0) | (values == 1) | (values == STAR)):
+    if values.dtype.kind == "c" or not np.all((values == 0) | (values == 1) | (values == STAR)):
         raise ValueError("table entries must be 0, 1 or STAR")
     values = values.astype(np.int8)
     values.setflags(write=False)

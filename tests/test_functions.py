@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,15 @@ def test_from_table_checks_entries_before_the_int8_cast(values):
     # cast first, these would read as [0, 1], [0, 1] and [0, STAR]
     with pytest.raises(ValueError, match="0, 1 or STAR"):
         from_table(np.array(values))
+
+
+def test_from_table_refuses_complex_tables_before_the_int8_cast():
+    # the cast of a complex array warns even on exact codes, and under
+    # warnings-as-errors that warning would escape as another exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="0, 1 or STAR"):
+            from_table(np.array([1 + 0j, 0]))
 
 
 def test_from_table_accepts_exact_codes_of_any_dtype():

@@ -22,6 +22,7 @@ from obddlab import (
     lift_deterministic,
     natural_order,
     nobdd_to_obdd_subset,
+    programs_structurally_equal,
     simulate,
     state_trace,
     validate_program,
@@ -131,6 +132,21 @@ def reference_acceptance(p, bits):
     return sum(v[a].real for a in p.accept)
 
 
+def random_level(draw, rng, kind, w_in, w_out):
+    if kind == "deterministic":
+        return level_map(
+            *([draw(st.integers(0, w_out - 1)) for _ in range(w_in)] for _ in range(2)))
+    if kind == "nondeterministic":
+        return level_relation(
+            *([draw(st.sets(st.integers(0, w_out - 1))) for _ in range(w_in)] for _ in range(2)),
+            w_out)
+    if kind == "probabilistic":
+        m = rng.random((2, w_out, w_in)) * (rng.random((2, w_out, w_in)) < 0.7) + 1e-3
+        return level_stochastic(*(m / m.sum(axis=1, keepdims=True)))
+    z = rng.normal(size=(2, w_out, w_in)) + 1j * rng.normal(size=(2, w_out, w_in))
+    return level_unitary(*(np.linalg.qr(z[sym])[0] for sym in (0, 1)))
+
+
 @st.composite
 def programs(draw, kind, min_n=1):
     """Programs of any kind under a random order; widths are ragged except
@@ -140,28 +156,55 @@ def programs(draw, kind, min_n=1):
     if kind == "quantum":
         widths = [widths[0]] * (n + 1)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    levels = []
-    for w_in, w_out in zip(widths, widths[1:]):
-        if kind == "deterministic":
-            levels.append(level_map(
-                *([draw(st.integers(0, w_out - 1)) for _ in range(w_in)] for _ in range(2))))
-        elif kind == "nondeterministic":
-            levels.append(level_relation(
-                *([draw(st.sets(st.integers(0, w_out - 1))) for _ in range(w_in)]
-                  for _ in range(2)),
-                w_out))
-        elif kind == "probabilistic":
-            m = rng.random((2, w_out, w_in)) * (rng.random((2, w_out, w_in)) < 0.7) + 1e-3
-            levels.append(level_stochastic(*(m / m.sum(axis=1, keepdims=True))))
-        else:
-            z = rng.normal(size=(2, w_out, w_in)) + 1j * rng.normal(size=(2, w_out, w_in))
-            levels.append(level_unitary(*(np.linalg.qr(z[sym])[0] for sym in (0, 1))))
+    levels = [random_level(draw, rng, kind, w_in, w_out)
+              for w_in, w_out in zip(widths, widths[1:])]
     return ObddProgram(
         kind=kind, order=VariableOrder(n, draw(st.permutations(range(n)))),
         widths=tuple(widths), levels=tuple(levels),
         initial=draw(st.integers(0, widths[0] - 1)),
         accept=frozenset(draw(st.sets(st.integers(0, widths[-1] - 1)))),
     )
+
+
+@st.composite
+def shared_programs(draw, kind):
+    """Programs whose levels come from a small pool of arrays per width pair,
+    so that level objects, and level contents, repeat in random patterns;
+    a program with one level array is flagged stable."""
+    n = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=1 if kind == "quantum" else 2))
+    widths = [draw(st.sampled_from(sizes)) for _ in range(n + 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool, levels = {}, []
+    for w_in, w_out in zip(widths, widths[1:]):
+        arrays = pool.setdefault((w_in, w_out), [])
+        pick = draw(st.integers(0, len(arrays)))
+        if pick == len(arrays):
+            t = random_level(draw, rng, kind, w_in, w_out)
+            # an equal copy of an earlier array: the same contents, another object
+            arrays.append(np.array(arrays[0]) if arrays and draw(st.booleans()) else t)
+        levels.append(arrays[pick])
+    return ObddProgram(
+        kind=kind, order=VariableOrder(n, draw(st.permutations(range(n)))),
+        widths=tuple(widths), levels=tuple(levels),
+        initial=draw(st.integers(0, widths[0] - 1)),
+        accept=frozenset(draw(st.sets(st.integers(0, widths[-1] - 1)))),
+        stable=len({id(t) for t in levels}) == 1 and len(set(widths)) == 1,
+    )
+
+
+@given(st.sampled_from(KINDS).flatmap(shared_programs))
+@settings(max_examples=200, deadline=None)
+def test_documents_survive_a_decode_encode_round_trip(p):
+    text = encode_program(p)
+    q = decode_program(text)
+    assert encode_program(q) == text
+    assert programs_structurally_equal(p, q)
+    # levels are shared exactly where their contents repeat
+    contents = [(t.shape, t.dtype.str, t.tobytes()) for t in p.levels]
+    firsts = [contents.index(c) for c in contents]
+    assert all(q.levels[i] is t for i, t in zip(firsts, q.levels))
+    assert len({id(t) for t in q.levels}) == len(set(contents))
 
 
 @given(st.sampled_from(KINDS).flatmap(programs))

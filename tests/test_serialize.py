@@ -1,20 +1,32 @@
+import numpy as np
 import pytest
 
 from obddlab import (
+    AcceptanceMode,
     InvalidProgramError,
+    ObddProgram,
+    computes,
+    core,
+    level_map,
+    level_relation,
     lift_deterministic,
+    natural_order,
+    program_width,
     programs_structurally_equal,
     simulate,
 )
 from obddlab.constructions import (
+    build_det_counter,
     build_det_eqs,
     build_det_mod,
     build_det_notpal,
+    build_det_partialmod,
     build_nobdd_noteqs_fingerprint,
     build_nobdd_noto_fingerprint,
     build_quantum_nondet_noto,
     build_quantum_partialmod,
 )
+from obddlab.functions import mod_count
 from obddlab.serialize import ProgramFormatError, decode_program, encode_program
 
 
@@ -168,3 +180,163 @@ def test_decode_rejects_nan_entries(program):
                          for _ in lines[at].split())
     with pytest.raises(InvalidProgramError, match="level 2 symbol 1: non-finite"):
         decode_program("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# shared levels: rendered once, decoded to one array
+# ---------------------------------------------------------------------------
+
+def reference_encoding(p):
+    """The document rendered entry by entry, level by level, with no memo."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    out = [
+        "obddprogram 1", f"kind {p.kind}", f"n {p.n}",
+        "order " + " ".join(map(str, p.order.perm)),
+        "widths " + " ".join(map(str, p.widths)),
+        f"initial {p.initial}",
+        "accept " + (" ".join(map(str, sorted(p.accept))) if p.accept else "-"),
+        f"stable {int(p.stable)}",
+    ]
+    for j in range(1, p.n + 1):
+        t = p.level(j)
+        for sym in (0, 1):
+            out.append(f"level {j} symbol {sym}")
+            tr = t[sym]
+            if p.kind == "deterministic":
+                out.append(" ".join(map(str, tr.tolist())))
+            elif p.kind == "nondeterministic":
+                for column in tr.T:
+                    targets = np.flatnonzero(column).tolist()
+                    out.append(" ".join(map(str, targets)) if targets else "-")
+            elif p.kind == "probabilistic":
+                for row in tr:
+                    out.append(" ".join(fmt(x) for x in row))
+            else:
+                for row in tr:
+                    out.append(" ".join(f"{fmt(x.real)},{fmt(x.imag)}" for x in row))
+    out.append("end")
+    return "\n".join(out) + "\n"
+
+
+def constructions(n):
+    """Every construction at ``n`` with the parameters it accepts there."""
+    out = [build_det_partialmod(k, n) for k in (0, 1, 2)]
+    out += [build_det_mod(d, n) for d in range(2, min(7, n // 2 + 1))]
+    out += [lift_deterministic(build_det_counter(m, n)) for m in range(2, 7)]
+    out += [build_quantum_partialmod(k, n) for k in (0, 1, 2)]
+    out += [build_quantum_nondet_noto(n), build_det_notpal(n)]
+    out += [build_nobdd_noto_fingerprint(k, n) for k in (4, 6, 8)]
+    out += [build_nobdd_noteqs_fingerprint(k, n) for k in (4, 8)]
+    out += [build_det_eqs(k, n) for k in (4, 8)]
+    return out
+
+
+CONSTRUCTED = constructions(10) + constructions(11)
+
+
+def sharing(levels):
+    """For each level, the index of the first level with equal contents."""
+    contents = [(t.shape, t.dtype.str, t.tobytes()) for t in levels]
+    return [contents.index(c) for c in contents]
+
+
+@pytest.mark.parametrize("program", CONSTRUCTED, ids=lambda p: f"{p.kind}-n{p.n}")
+def test_encoding_matches_the_per_entry_renderer(program):
+    assert encode_program(program) == reference_encoding(program)
+
+
+@pytest.mark.parametrize("program", CONSTRUCTED, ids=lambda p: f"{p.kind}-n{p.n}")
+def test_decoded_levels_are_shared_exactly_where_their_contents_repeat(program):
+    q = decode_program(encode_program(program))
+    assert sharing(q.levels) == sharing(program.levels)
+    firsts = [q.levels[i] for i in sharing(q.levels)]
+    assert all(t is first for t, first in zip(q.levels, firsts))
+    assert len({id(t) for t in q.levels}) == len(set(sharing(program.levels)))
+    if program.stable:
+        assert len({id(t) for t in q.levels}) == 1
+
+
+@pytest.mark.parametrize("program", [p for p in CONSTRUCTED if p.kind == "deterministic"],
+                         ids=lambda p: f"n{p.n}-w{max(p.widths)}")
+def test_lift_keeps_the_number_of_distinct_level_objects(program):
+    lifted = lift_deterministic(program)
+    assert len({id(t) for t in lifted.levels}) == len({id(t) for t in program.levels})
+
+
+def stable_nobdd(n=4):
+    t = level_relation([[0, 1], [1]], [[0], []], 2)
+    return ObddProgram(kind="nondeterministic", order=natural_order(n), widths=(2,) * (n + 1),
+                       levels=(t,) * n, initial=0, accept=frozenset({1}), stable=True)
+
+
+STABLE = [build_det_mod(3, 6), stable_nobdd(), lift_deterministic(build_det_mod(3, 6)),
+          build_quantum_partialmod(1, 4)]
+
+
+@pytest.mark.parametrize("program", STABLE, ids=lambda p: p.kind)
+@pytest.mark.parametrize("level", [1, 3])
+def test_a_bad_token_in_a_payload_fails_at_its_own_line(program, level):
+    # level 3 repeats level 1's payload but for one token, which must fail
+    # there even though the same text before it parsed cleanly
+    lines = encode_program(program).splitlines()
+    at = lines.index(f"level {level} symbol 0") + 1
+    lines[at] = " ".join(["x"] + lines[at].split()[1:])
+    with pytest.raises(ProgramFormatError) as err:
+        decode_program("\n".join(lines) + "\n")
+    assert err.value.lineno == at + 1 and f"level {level} symbol 0" in str(err.value)
+
+
+def test_a_bad_row_of_a_truncated_payload_fails_before_the_end_of_document():
+    lines = encode_program(stable_nobdd()).splitlines()
+    at = lines.index("level 3 symbol 0") + 1
+    with pytest.raises(ProgramFormatError) as err:
+        decode_program("\n".join(lines[:at] + ["0 x"]) + "\n")
+    assert err.value.lineno == at + 1
+    with pytest.raises(ProgramFormatError, match="unexpected end") as err:
+        decode_program("\n".join(lines[:at + 1]) + "\n")
+    assert err.value.lineno == at + 2
+
+
+def test_decoded_programs_are_validated_once(monkeypatch):
+    text = encode_program(lift_deterministic(build_det_mod(3, 8)))
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return validate(p)
+
+    validate = core.validate_program
+    monkeypatch.setattr(core, "validate_program", counted)
+    q = decode_program(text)
+    assert calls == [q]
+    program_width(q)
+    assert computes(q, mod_count(3, 8), AcceptanceMode.exact()).ok
+    assert encode_program(q) == text
+    assert calls == [q]
+
+
+def test_a_map_repeated_into_levels_of_different_widths():
+    # one deterministic array serves a level into width 2 and one into
+    # width 3: it decodes to one array, and lifts to one matrix per width
+    t = level_map([1, 0], [0, 1])
+    p = ObddProgram(kind="deterministic", order=natural_order(2), widths=(2, 2, 3),
+                    levels=(t, t), initial=0, accept=frozenset({1, 2}))
+    q = decode_program(encode_program(p))
+    assert q.levels[0] is q.levels[1]
+    lifted = lift_deterministic(q)
+    assert [m.shape for m in lifted.levels] == [(2, 2, 2), (2, 3, 2)]
+    assert all(simulate(lifted, bits) == simulate(p, bits) for bits in ("00", "01", "10", "11"))
+
+
+def test_a_relation_text_repeated_into_a_wider_level_decodes_to_its_own_array():
+    # both levels read "0" on each symbol, but the second targets width 2
+    p = ObddProgram(kind="nondeterministic", order=natural_order(2), widths=(1, 1, 2),
+                    levels=(level_relation([[0]], [[0]], 1), level_relation([[0]], [[0]], 2)),
+                    initial=0, accept=frozenset({0}))
+    text = encode_program(p)
+    assert text.count("\n0\n") == 4
+    q = decode_program(text)
+    assert programs_structurally_equal(p, q)
+    assert q.levels[0] is not q.levels[1]
