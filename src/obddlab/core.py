@@ -395,7 +395,9 @@ def _acceptance(p: "ObddProgram", states: np.ndarray) -> np.ndarray:
     """Acceptance probability of each final-level state in a batch."""
     idx = sorted(p.accept)
     if p.kind == "deterministic":
-        return np.isin(states, idx).astype(float)
+        accepting = np.zeros(p.widths[-1])
+        accepting[idx] = 1.0
+        return accepting[states]
     if p.kind == "nondeterministic":
         return states[:, idx].any(axis=1).astype(float)
     if p.kind == "quantum":
@@ -700,6 +702,12 @@ def nobdd_to_obdd_subset(p: ObddProgram, *, subset_cap: int = 1 << 16) -> ObddPr
     most ``2**w`` where ``w`` is the width of ``p``; only subsets reachable
     from ``{initial}`` are materialized.  Raises :class:`CapExceededError`
     if any level needs more than ``subset_cap`` subset nodes.
+
+    Each level's image rows are keyed by their packed bytes
+    (``np.packbits``, one ``ceil(w/8)``-byte record per row); the padding
+    bits are zero, so equal keys are equal sets, and one 1-D ``unique``
+    over the keys finds the distinct images.  Each new subset is numbered
+    at its first (subset, symbol) row.
     """
     if p.kind != "nondeterministic":
         raise ValueError("subset construction applies to nondeterministic programs")
@@ -708,17 +716,21 @@ def nobdd_to_obdd_subset(p: ObddProgram, *, subset_cap: int = 1 << 16) -> ObddPr
     subsets = _start(p)
     widths, maps = [1], []
     for j, t in enumerate(p.levels, start=1):
-        # rows run (subset 0, symbol 0), (subset 0, symbol 1), (subset 1, ...);
-        # each distinct image is numbered by its first row
+        # row 2s + sym is the image of subset s on symbol sym
         images = _double([t], subsets)
-        _, first, inverse = np.unique(images, axis=0, return_index=True, return_inverse=True)
+        keys = np.packbits(images, axis=1)
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).reshape(-1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         if first.size > subset_cap:
             raise CapExceededError(f"subset construction exceeded {subset_cap} nodes at level {j}")
+        order = np.argsort(first)
         number = np.empty_like(first)
-        number[np.argsort(first)] = np.arange(first.size)
-        node = number[inverse.reshape(-1)]
-        maps.append(level_map(node[0::2], node[1::2]))
-        subsets = images[np.sort(first)]
+        number[order] = np.arange(first.size)
+        # the numbers as (w, 2) rows, transposed: level_map's node-major array
+        level = number[inverse].reshape(-1, 2).T
+        level.setflags(write=False)
+        maps.append(level)
+        subsets = images[first[order]]
         widths.append(len(subsets))
 
     accept = np.flatnonzero(subsets[:, sorted(p.accept)].any(axis=1))

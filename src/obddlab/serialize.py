@@ -61,6 +61,9 @@ _MAGIC = "obddprogram 1"
 #: most entries a decoded level's dense ``(2, w_out, w_in)`` array may hold
 _MAX_LEVEL_ENTRIES = 1 << 24
 
+#: range of a deterministic target that ``level_map`` can store
+_NODE_INDEX = np.iinfo(np.intp)
+
 
 class ProgramFormatError(ValueError):
     """Malformed program document; carries the offending line number."""
@@ -272,6 +275,11 @@ def _parse_rows(kind: str, linenos: tuple[int, ...], lines: tuple[str, ...], w_i
             if len(targets) != w_in:
                 raise ProgramFormatError(
                     lineno, f"{where}: expected {w_in} targets, got {len(targets)}")
+            # smaller out-of-range targets are left to validation, which
+            # names the node; these would not fit in the level's array
+            if not _NODE_INDEX.min <= min(targets) <= max(targets) <= _NODE_INDEX.max:
+                raise ProgramFormatError(
+                    lineno, f"{where}: a target outside {_NODE_INDEX.min}..{_NODE_INDEX.max}")
             rows.append(targets)
         elif kind == "nondeterministic":
             targets = [] if line == "-" else _ints(lineno, line.split(), where)

@@ -35,7 +35,7 @@ from obddlab.constructions import (
     build_nobdd_noto_fingerprint,
     build_quantum_partialmod,
 )
-from obddlab.functions import mod_count, not_o_prefix, partial_mod
+from obddlab.functions import from_table, mod_count, not_o_prefix, partial_mod
 
 
 def bitstrings(n):
@@ -412,6 +412,70 @@ def test_subset_construction_rejects_other_kinds():
         nobdd_to_obdd_subset(build_det_mod(2, 4))
 
 
+def one_w_from_the_end(w, n):
+    """Node 0 loops on both symbols and also moves to node 1 on symbol 1;
+    node i moves to i + 1 on both, and node w - 1 has no successor."""
+    def relation(w_in):
+        shift = [[s + 1] if s + 1 < w else [] for s in range(1, w_in)]
+        return level_relation([[0]] + shift, [[0, 1]] + shift, w)
+
+    return ObddProgram(
+        kind="nondeterministic", order=natural_order(n), widths=(1,) + (w,) * n,
+        levels=(relation(1),) + (relation(w),) * (n - 1), initial=0,
+        accept=frozenset({w - 1}),
+    )
+
+
+def test_subset_construction_blows_up_by_the_closed_form():
+    # the level-j subsets are {0} plus any pattern of the last min(j, w - 1)
+    # ones, so level j has 2**min(j, w - 1) nodes
+    w, n = 6, 8
+    p = one_w_from_the_end(w, n)
+    d = nobdd_to_obdd_subset(p, subset_cap=32)
+    assert d.widths == tuple(2 ** min(j, w - 1) for j in range(n + 1))
+    assert d.widths == (1, 2, 4, 8, 16, 32, 32, 32, 32)
+    assert np.array_equal(acceptance_table(d), acceptance_table(p))
+    with pytest.raises(CapExceededError, match="exceeded 31 nodes at level 5"):
+        nobdd_to_obdd_subset(p, subset_cap=31)
+
+
+# ---------------------------------------------------------------------------
+# deterministic acceptance
+# ---------------------------------------------------------------------------
+
+def narrowing_program(accept):
+    """A deterministic program under the pairing order whose last level,
+    of width 2, is narrower than the two before it."""
+    maps = [([0], [1]), ([0, 2], [3, 1]), ([4, 0, 2, 1], [3, 3, 0, 4]),
+            ([1, 2, 3, 4, 0], [0, 0, 4, 4, 2]), ([0, 1, 1, 0, 1], [1, 1, 0, 0, 0])]
+    return ObddProgram(
+        kind="deterministic", order=pairing_order(5), widths=(1, 2, 4, 5, 5, 2),
+        levels=tuple(level_map(*m) for m in maps), initial=0, accept=frozenset(accept),
+    )
+
+
+def walk(p, bits):
+    """Acceptance of one input by following the raw maps node by node."""
+    node = p.initial
+    for t, pos in zip(p.levels, p.order.perm):
+        node = int(t[int(bits[pos])][node])
+    return 1.0 if node in p.accept else 0.0
+
+
+@pytest.mark.parametrize("accept", [(), (0, 1), (1,)], ids=["empty", "every", "one"])
+def test_deterministic_acceptance_agrees_with_a_walk_of_the_maps(accept):
+    # both final nodes are reached, so each accept set is a distinct function
+    assert {walk(narrowing_program({0}), bits) for bits in bitstrings(5)} == {0.0, 1.0}
+    p = narrowing_program(accept)
+    expected = np.array([walk(p, bits) for bits in bitstrings(p.n)])
+    assert np.array_equal(acceptance_table(p), expected)
+    assert [simulate(p, bits) for bits in bitstrings(p.n)] == expected.tolist()
+    f = from_table(expected.astype(np.int8))
+    assert computes(p, f, AcceptanceMode.deterministic()).ok
+    flipped = computes(p, from_table(1 - expected.astype(np.int8)), AcceptanceMode.deterministic())
+    assert flipped.counterexample == "00000"
+
+
 # ---------------------------------------------------------------------------
 # stable chains and lifting
 # ---------------------------------------------------------------------------
@@ -451,7 +515,6 @@ def test_bounded_error_mode_thresholds():
         stable=True,
     )
     assert simulate(p, "11") == pytest.approx(0.83, abs=1e-12)
-    from obddlab.functions import from_table
     always_one = from_table(np.ones(4, dtype=np.int8))
     assert computes(p, always_one, AcceptanceMode.bounded_error(0.3)).ok
     assert not computes(p, always_one, AcceptanceMode.bounded_error(0.4)).ok

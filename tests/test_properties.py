@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -32,6 +33,7 @@ from obddlab.core import KINDS
 from obddlab.constructions import (
     build_det_mod,
     build_det_notpal,
+    build_nobdd_noteqs_fingerprint,
     build_nobdd_noto_fingerprint,
     build_quantum_partialmod,
 )
@@ -253,6 +255,69 @@ def test_subset_construction_preserves_acceptance(p):
     assert validate_program(d).ok
     for bits in all_inputs(p.n):
         assert simulate(d, bits) == simulate(p, bits)
+
+
+def reference_subset_construction(p):
+    """The subset construction over frozensets, with no numpy stepping:
+    subsets are scanned in number order, and an image not seen before on
+    this level gets the next number at its first (subset, symbol) row."""
+    subsets, widths, maps = [frozenset({p.initial})], [1], []
+    for t in p.levels:
+        rel = t.tolist()
+        succ = [[frozenset(u for u, row in enumerate(rel[sym]) if row[s])
+                 for s in range(len(rel[sym][0]))] for sym in (0, 1)]
+        number, on = {}, ([], [])
+        for subset in subsets:
+            for sym in (0, 1):
+                image = frozenset().union(*(succ[sym][s] for s in subset))
+                on[sym].append(number.setdefault(image, len(number)))
+        subsets = list(number)
+        widths.append(len(subsets))
+        maps.append(level_map(*on))
+    return ObddProgram(
+        kind="deterministic", order=p.order, widths=tuple(widths), levels=tuple(maps),
+        initial=0, accept=frozenset(i for i, s in enumerate(subsets) if s & p.accept),
+    )
+
+
+@given(small_nobdds())
+@settings(max_examples=100, deadline=None)
+def test_subset_construction_matches_the_frozenset_reference(p):
+    assert programs_structurally_equal(nobdd_to_obdd_subset(p), reference_subset_construction(p))
+
+
+#: sha256 prefixes of the documents of the determinized fingerprint
+#: programs (the bench's verify parameters), recorded from the earlier
+#: implementation that ranked the bool image rows with np.unique(axis=0)
+SUBSET_DOCUMENT_DIGESTS = {
+    ("noto", 4, 10): "0795441fcb5a113e",
+    ("noto", 6, 10): "8e25cb8907c5d6c3",
+    ("noto", 8, 10): "c5b9d47b2135fd8e",
+    ("noteqs", 4, 10): "75c364296afa0e62",
+    ("noteqs", 8, 10): "97f503dedf3bc28a",
+    ("noto", 4, 11): "9bdcf45a2d681e88",
+    ("noto", 6, 11): "4b521d9b0dc4a27f",
+    ("noto", 8, 11): "87b9138fa1a85e3b",
+    ("noteqs", 4, 11): "d7489c71f4d84e2c",
+    ("noteqs", 8, 11): "daac44bc1c0b0c58",
+    ("noto", 4, 12): "03e037ed043b63a1",
+    ("noto", 6, 12): "b9e8f576d911dff3",
+    ("noto", 8, 12): "20ed86120ab5961f",
+    ("noteqs", 4, 12): "12bbced3d5c0eced",
+    ("noteqs", 8, 12): "938bb62dfcfd0282",
+}
+
+
+@pytest.mark.parametrize("name, k, n", list(SUBSET_DOCUMENT_DIGESTS))
+def test_fingerprint_subset_construction_matches_the_reference_and_its_record(name, k, n):
+    build = {"noto": build_nobdd_noto_fingerprint, "noteqs": build_nobdd_noteqs_fingerprint}
+    p = build[name](k, n)
+    d = nobdd_to_obdd_subset(p)
+    reference = reference_subset_construction(p)
+    assert programs_structurally_equal(d, reference)
+    text = encode_program(d)
+    assert text == encode_program(reference)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == SUBSET_DOCUMENT_DIGESTS[name, k, n]
 
 
 @given(small_deterministic_programs())

@@ -162,6 +162,27 @@ def test_decode_out_of_range_relation_target_names_the_level():
     assert err.value.lineno == at + 1 and "level 3 symbol 1" in str(err.value)
 
 
+@pytest.mark.parametrize("target", ["100000000000000000000000000",
+                                    "-100000000000000000000000000",
+                                    str(2 ** 63), str(-2 ** 63 - 1)])
+def test_decode_rejects_deterministic_targets_outside_int64_at_their_line(target):
+    lines = encode_program(build_det_mod(2, 4)).splitlines()
+    at = lines.index("level 2 symbol 0") + 1
+    lines[at] = f"0 {target}"
+    with pytest.raises(ProgramFormatError) as err:
+        decode_program("\n".join(lines) + "\n")
+    assert err.value.lineno == at + 1 and "level 2 symbol 0" in str(err.value)
+
+
+@pytest.mark.parametrize("target", [str(2 ** 63 - 1), str(-2 ** 63)])
+def test_decode_leaves_int64_targets_out_of_range_to_validation(target):
+    lines = encode_program(build_det_mod(2, 4)).splitlines()
+    at = lines.index("level 2 symbol 0") + 1
+    lines[at] = f"0 {target}"
+    with pytest.raises(InvalidProgramError, match=f"level 2 symbol 0: node 1 maps to {target}"):
+        decode_program("\n".join(lines) + "\n")
+
+
 def test_decode_rejects_non_positive_widths_at_the_widths_line():
     lines = encode_program(build_nobdd_noto_fingerprint(4, 6)).splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("widths"))
