@@ -32,9 +32,9 @@ level on both symbols; a state is a node index, a reachable-set row or a
 state-vector row.  Simulation and the traces run it on one input,
 :func:`acceptance_table` (and with it :func:`computes`) on all ``2**n``
 inputs by prefix doubling, reachability on reachable sets, and validation
-on the basis states; the stable search of :mod:`obddlab.oracles` doubles
-one deterministic level whose states are the reachable sets of many
-candidate programs.
+on the basis states.  The stable search of :mod:`obddlab.oracles` steps
+bit-planes, the reachable sets of 64 candidate programs per machine word,
+with its own AND and OR, not through the kernel.
 
 A program is *stable* when every level carries the identical transition
 pair, and *ID* when its order is the natural one; a stable ID program of

@@ -59,16 +59,22 @@ A stable ID program applies one transition pair at every level, so it is
 fixed by the successor set of each (symbol, node) pair.  Program index
 ``p`` encodes them: the deterministic successor of node ``s`` on ``sym`` is
 the base-``w`` digit ``sym*w + s`` of ``p``; the nondeterministic successor
-set is the ``w`` bits of ``p`` from bit ``w*(sym*w + s)`` on.  The subset
-construction (Rabin & Scott 1959) makes every program, of either kind, a
-deterministic automaton on reachable node sets (a deterministic program's
-sets are singletons).  A chunk of programs is one deterministic level on
-the states ``i * 2**w + M`` (program ``i``, reachable set ``M``), and the
-stepping kernel's prefix doubling runs it ``n`` times, so it returns each
-program's final set on every input, in truth-table order.  Some accepting
-set makes a program compute ``f`` iff every 1-input's final set holds a
-node that no 0-input's final set holds; the first such program is
-returned, accepting at the nodes some 1-input reaches and no 0-input does.
+set is the ``w`` bits of ``p`` from bit ``w*(sym*w + s)`` on.  The search
+is bit-sliced (Biham, FSE 1997): bit ``i`` of ``uint64`` word ``k`` is
+program ``64*k + i``, and per (source, symbol, target) one word per word
+of programs says which of its 64 programs have that edge.  The reachable
+node sets of 64 programs after one prefix are ``w`` words, the bit-planes
+``X[u]``; a step on ``sym`` is ``Y[u] = OR_s X[s] & E[s, sym, u]``, the
+bit-parallel automaton simulation of Baeza-Yates & Gonnet (CACM 35(10),
+1992) run across programs.  Doubling the prefixes ``n`` times gives every
+program's final planes on every input, in truth-table order.  Some
+accepting set makes a program compute ``f`` iff every 1-input's final set
+holds a node that no 0-input's final set holds: with ``forbidden[u]`` the
+OR of the 0-inputs' planes, a program is feasible iff its bit survives the
+AND over the 1-inputs of ``OR_u F[u] & ~forbidden[u]``.  The lowest
+feasible program is returned, accepting at the nodes some 1-input reaches
+and no 0-input does.  A chunk of ``K`` words holds ``w * 2**n * K`` words
+of planes; chunks stay under about ``_SEARCH_STATES`` of them (2 MB).
 """
 
 from __future__ import annotations
@@ -87,7 +93,6 @@ from .core import (
     level_map,
     level_relation,
     natural_order,
-    _double,
 )
 from .functions import STAR, FunctionSpec
 
@@ -535,7 +540,9 @@ def minimal_obdd(f: FunctionSpec, order: VariableOrder | None = None,
 # exhaustive search over stable ID programs
 # ---------------------------------------------------------------------------
 
-#: the stable search holds at most about this many automaton states at once
+#: the first chunk of the stable search holds about this many pairs of a
+#: program and an input; later chunks double, up to about this many words
+#: in one chunk's array of bit-planes
 _SEARCH_STATES = 1 << 18
 
 
@@ -546,8 +553,13 @@ def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str,
 
     Enumerates every transition pair (``w**(2w)`` deterministic maps or
     ``2**(2*w*w)`` relations) with initial node 0 -- exhaustive up to node
-    relabeling -- as automata on reachable node sets, about
-    ``_SEARCH_STATES`` states at a time (module docstring).  Returns the
+    relabeling -- 64 programs to a ``uint64`` word: bit ``i`` of word ``k``
+    is program ``64*k + i`` (module docstring).  Every program's reachable
+    set after every input is held as ``w`` bit-planes.  The first chunk is
+    ``_SEARCH_STATES >> max(n, w)`` programs rounded up to whole words;
+    each later one doubles, up to about ``_SEARCH_STATES`` words in the
+    ``w * 2**n`` planes of a chunk (2 MB at the default), so an early hit
+    stops after a small chunk and a full scan takes a few.  Returns the
     first program in index order that computes ``f``, accepting at the
     nodes some 1-input reaches and no 0-input reaches, or None.
     """
@@ -565,52 +577,69 @@ def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str,
     table = f.truth_table()
     yes, no = table == 1, table == 0
     count = w ** (2 * w) if kind == "deterministic" else 1 << (2 * w * w)
-    chunk = max(1, _SEARCH_STATES >> max(n, w))
-    for first in range(0, count, chunk):
-        idx = np.arange(first, min(first + chunk, count), dtype=np.int64)
-        level = _subset_level(_successor_sets(kind, w, idx), w)
-        start = (np.arange(idx.size, dtype=level.dtype) << w) + 1  # the sets {0}
-        finals = _double([level] * n, start).reshape(idx.size, -1) & ((1 << w) - 1)
-        forbidden = np.bitwise_or.reduce(finals[:, no], axis=1)
-        feasible = ((finals[:, yes] & ~forbidden[:, None]) != 0).all(axis=1)
-        if feasible.any():
-            i = int(feasible.argmax())
-            accept = int(np.bitwise_or.reduce(finals[i, yes])) & ~int(forbidden[i])
-            return _stable_program(kind, w, n, first + i, accept)
+    words = -(-count // 64)
+    size = -(-max(1, _SEARCH_STATES >> max(n, w)) // 64)
+    bound = max(1, _SEARCH_STATES // (w << n))
+    first = 0
+    while first < words:
+        last = min(first + min(size, bound), words)
+        planes = _final_planes(_edge_planes(kind, w, first, last), n)
+        forbidden = np.bitwise_or.reduce(planes[no], axis=0)
+        allowed = planes[yes] & ~forbidden
+        # a bit p past the last program decodes as program p % count, which
+        # comes first, so it is never the lowest feasible bit
+        feasible = np.bitwise_and.reduce(np.bitwise_or.reduce(allowed, axis=1), axis=0)
+        hit = np.flatnonzero(feasible)
+        if hit.size:
+            k = int(hit[0])
+            word = int(feasible[k])
+            i = (word & -word).bit_length() - 1
+            accept = np.bitwise_or.reduce(allowed[:, :, k], axis=0) >> i & 1
+            return _stable_program(kind, w, n, 64 * (first + k) + i, np.flatnonzero(accept))
+        first, size = last, 2 * size
     return None
 
 
-def _successor_sets(kind: str, w: int, idx: np.ndarray) -> np.ndarray:
-    """``sets[sym, s, i]``: the successors of node ``s`` on symbol ``sym``
-    in program ``idx[i]``, as a bit mask over the ``w`` nodes."""
-    digit = np.arange(2 * w, dtype=np.int64).reshape(2, w, 1)  # sym * w + s
-    if kind == "deterministic":
-        return 1 << (idx // w ** digit % w)
-    return idx >> (w * digit) & ((1 << w) - 1)
+def _edge_planes(kind: str, w: int, first: int, last: int) -> np.ndarray:
+    """``edges[s, sym, u, k]``: bit ``i`` is set when program
+    ``64*(first + k) + i`` has the edge ``s -> u`` on symbol ``sym``.
+    Source-major, so that one source's words for both symbols and every
+    target are one contiguous block."""
+    d = np.arange(2 * w).reshape(2, w).T  # d[s, sym] = sym*w + s
+    if kind == "deterministic":  # the successor is the base-w digit d
+        p = np.arange(64 * first, 64 * last, dtype=np.int64)
+        digits = p // w ** d[..., None] % w
+        edge = digits[:, :, None] == np.arange(w)[:, None]
+        return np.packbits(edge, axis=-1, bitorder="little").view("<u8")
+    # the edge is bit b = w*d + u of 64*k | i: below bit 6 a bit of the
+    # lane i, one fixed pattern per b; from bit 6 up a bit of 64*k, which
+    # sets or clears the whole word
+    b = (w * d[..., None] + np.arange(w)).astype(np.uint64)[..., None]
+    lanes = np.packbits(np.arange(64, dtype=np.uint64) >> b & 1, axis=-1, bitorder="little")
+    return lanes.view("<u8") | -(np.arange(first, last, dtype=np.uint64) << 6 >> b & 1)
 
 
-def _subset_level(sets: np.ndarray, w: int) -> np.ndarray:
-    """The programs of ``sets`` as one deterministic level on the states
-    ``i * 2**w + M``: program ``i`` with reachable node set ``M``.  The
-    image of a set is the union of its nodes' successor sets, built from
-    the set without its lowest node."""
-    size = sets.shape[2]
-    dtype = np.int32 if size << w < 1 << 31 else np.int64
-    images = np.zeros((1 << w, 2, size), dtype=dtype)  # [M, sym, i]
-    for m in range(1, 1 << w):
-        low = m & -m
-        np.bitwise_or(images[m ^ low], sets[:, low.bit_length() - 1], out=images[m])
-    images += np.arange(size, dtype=dtype) << w
-    # state-major rows, seen as int[2, size * 2**w]: the layout the kernel
-    # gathers fastest
-    return np.ascontiguousarray(images.transpose(2, 0, 1)).reshape(-1, 2).T
+def _final_planes(edges: np.ndarray, n: int) -> np.ndarray:
+    """``planes[x, u, k]``: bit ``i`` is set when program ``i`` of word
+    ``k`` reaches node ``u`` on input ``x``, in truth-table order: each
+    step (module docstring) puts prefix ``p`` extended by ``sym`` at
+    ``2*p + sym``."""
+    w, _, _, size = edges.shape
+    planes = np.zeros((1, w, size), dtype=np.uint64)
+    planes[0, 0] = ~np.uint64(0)  # every program starts at node 0
+    for _ in range(n):
+        step = planes[:, None, 0, None] & edges[0]
+        for s in range(1, w):
+            step |= planes[:, None, s, None] & edges[s]
+        planes = step.reshape(-1, w, size)
+    return planes
 
 
-def _stable_program(kind: str, w: int, n: int, p: int, accept: int) -> ObddProgram:
-    """Stable program ``p`` of the enumeration, accepting at the nodes of
-    the bit mask ``accept``."""
-    sets = _successor_sets(kind, w, np.array([p]))[..., 0]
-    on = [[[t for t in range(w) if int(m) >> t & 1] for m in row] for row in sets]
+def _stable_program(kind: str, w: int, n: int, p: int, accept: np.ndarray) -> ObddProgram:
+    """Stable program ``p`` of the enumeration, read off its bit of the
+    edge planes, accepting at the nodes ``accept``."""
+    edges = _edge_planes(kind, w, p // 64, p // 64 + 1)[..., 0] >> np.uint64(p % 64) & 1
+    on = [[np.flatnonzero(edges[s, sym]).tolist() for s in range(w)] for sym in (0, 1)]
     if kind == "deterministic":
         level = level_map(*([succ for (succ,) in row] for row in on))
     else:
@@ -621,7 +650,7 @@ def _stable_program(kind: str, w: int, n: int, p: int, accept: int) -> ObddProgr
         widths=(w,) * (n + 1),
         levels=(level,) * n,
         initial=0,
-        accept=frozenset(s for s in range(w) if accept >> s & 1),
+        accept=frozenset(accept.tolist()),
         stable=True,
     )
 

@@ -147,7 +147,9 @@ def report_separation_quantum_classical(k: int, n: int) -> ReportTable:
         model="stable probabilistic (period certificate)", function=f_name,
         constructed_width=counter, oracle_value=floor, oracle_kind="lower_bound",
         verdict=_verdict(cert.passed),
-        claim=f"the counter's ones-chain has a class period divisible by {floor}",
+        claim=(f"checks a necessary condition on the counter construction's own ones-chain "
+               f"(a class period divisible by {floor}), not a bound over all stable "
+               f"probabilistic programs"),
     ))
     return _separation_table(
         f"quantum versus classical width for {f_name}", rows

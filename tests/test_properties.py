@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from obddlab import (
@@ -42,6 +42,7 @@ from obddlab.functions import (
     format_truth_table,
     from_table,
     mod_count,
+    not_o,
     partial_mod,
     read_truth_table,
 )
@@ -519,38 +520,49 @@ def reference_stable_search(f, w, kind):
     return None
 
 
-@st.composite
-def stable_search_cases(draw):
-    kind = draw(st.sampled_from(["deterministic", "nondeterministic"]))
-    w = draw(st.integers(1, 3 if kind == "deterministic" else 2))
-    if draw(st.booleans()):
-        f = draw(st.sampled_from([[0, 1], [0, 1, STAR], [0, STAR], [1, STAR]])
-                 .flatmap(lambda codes: random_tables(codes=codes)))
-        return f, w, kind
-    # the table of a random stable program, partly undefined: a hit exists,
-    # and usually more than one, so the index order decides which is found
-    n = draw(st.integers(1, 5))
-    if kind == "deterministic":
-        rows = [[draw(st.integers(0, w - 1)) for _ in range(w)] for _ in range(2)]
-        level = level_map(*rows)
-    else:
-        rows = [[draw(st.sets(st.integers(0, w - 1))) for _ in range(w)] for _ in range(2)]
-        level = level_relation(*rows, w)
-    p = ObddProgram(
-        kind=kind, order=natural_order(n), widths=(w,) * (n + 1), levels=(level,) * n,
-        initial=0, accept=frozenset(draw(st.sets(st.integers(0, w - 1)))), stable=True,
-    )
-    table = acceptance_table(p).astype(np.int8)
-    table[draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n))] = STAR
-    return from_table(table), w, kind
+def product_state_search(f, w, kind):
+    """The first stable program, in the documented index order, that some
+    accepting set makes compute ``f``, with that set; or None.  The search
+    as it stood before bit-slicing: a chunk of programs is one
+    deterministic level on the states ``i * 2**w + M`` (program ``i`` with
+    reachable node set ``M``), doubled ``n`` times through the core kernel.
+    Fast enough for the 2**18 nondeterministic programs of width 3, which
+    the brute force above is not."""
+    n = f.n
+    table = f.truth_table()
+    yes, no = table == 1, table == 0
+    count = w ** (2 * w) if kind == "deterministic" else 1 << (2 * w * w)
+    digit = np.arange(2 * w, dtype=np.int64).reshape(2, w, 1)  # sym * w + s
+    chunk = max(1, (1 << 18) >> max(n, w))
+    for first in range(0, count, chunk):
+        idx = np.arange(first, min(first + chunk, count), dtype=np.int64)
+        if kind == "deterministic":  # sets[sym, s, i]: successors as a bit mask
+            sets = 1 << (idx // w ** digit % w)
+        else:
+            sets = idx >> (w * digit) & ((1 << w) - 1)
+        images = np.zeros((1 << w, 2, idx.size), dtype=np.int64)  # [M, sym, i]
+        for m in range(1, 1 << w):
+            low = m & -m
+            images[m] = images[m ^ low] | sets[:, low.bit_length() - 1]
+        images += np.arange(idx.size) << w
+        level = np.ascontiguousarray(images.transpose(2, 0, 1)).reshape(-1, 2).T
+        start = (np.arange(idx.size) << w) + 1  # the sets {0}
+        finals = core._double([level] * n, start).reshape(idx.size, -1) & ((1 << w) - 1)
+        forbidden = np.bitwise_or.reduce(finals[:, no], axis=1)
+        feasible = ((finals[:, yes] & ~forbidden[:, None]) != 0).all(axis=1)
+        if feasible.any():
+            i = int(feasible.argmax())
+            accept = int(np.bitwise_or.reduce(finals[i, yes])) & ~int(forbidden[i])
+            rows = [[[t for t in range(w) if sets[sym, s, i] >> t & 1] for s in range(w)]
+                    for sym in (0, 1)]
+            return rows, {t for t in range(w) if accept >> t & 1}
+    return None
 
 
-@given(stable_search_cases())
-@settings(max_examples=80, deadline=None)
-def test_stable_search_matches_the_brute_force_reference(case):
-    f, w, kind = case
-    found = oracles.stable_exhaustive_search(f, w, kind)
-    want = reference_stable_search(f, w, kind)
+def assert_found_as_reference(found, want, f, w, kind):
+    """The library's search result ``found`` and a reference's ``want``
+    are both None, or the same transition arrays and accepting set, and
+    the program computes ``f``."""
     assert (found is None) == (want is None)
     if found is None:
         return
@@ -566,15 +578,100 @@ def test_stable_search_matches_the_brute_force_reference(case):
     assert computes(found, f, mode).ok
 
 
+@st.composite
+def stable_program_tables(draw, kind, w, max_n=5):
+    """The table of a random stable program, partly undefined: a hit
+    exists, and usually more than one, so the index order decides which is
+    found."""
+    n = draw(st.integers(1, max_n))
+    if kind == "deterministic":
+        rows = [[draw(st.integers(0, w - 1)) for _ in range(w)] for _ in range(2)]
+        level = level_map(*rows)
+    else:
+        rows = [[draw(st.sets(st.integers(0, w - 1))) for _ in range(w)] for _ in range(2)]
+        level = level_relation(*rows, w)
+    p = ObddProgram(
+        kind=kind, order=natural_order(n), widths=(w,) * (n + 1), levels=(level,) * n,
+        initial=0, accept=frozenset(draw(st.sets(st.integers(0, w - 1)))), stable=True,
+    )
+    table = acceptance_table(p).astype(np.int8)
+    table[draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n))] = STAR
+    return from_table(table)
+
+
+@st.composite
+def stable_search_cases(draw):
+    kind = draw(st.sampled_from(["deterministic", "nondeterministic"]))
+    w = draw(st.integers(1, 3 if kind == "deterministic" else 2))
+    if draw(st.booleans()):
+        f = draw(st.sampled_from([[0, 1], [0, 1, STAR], [0, STAR], [1, STAR]])
+                 .flatmap(lambda codes: random_tables(codes=codes)))
+    else:
+        f = draw(stable_program_tables(kind, w))
+    return f, w, kind
+
+
+def table_of(text):
+    return from_table(np.array([STAR if c == "*" else int(c) for c in text], dtype=np.int8))
+
+
+@given(stable_search_cases())
+# the found program's 1-inputs also reach node 0, which a 0-input reaches,
+# so the accepting set is {1}, not every node a 1-input reaches
+@example((table_of("0111"), 2, "nondeterministic"))
+@settings(max_examples=80, deadline=None)
+def test_stable_search_matches_the_brute_force_reference(case):
+    f, w, kind = case
+    found = oracles.stable_exhaustive_search(f, w, kind)
+    assert_found_as_reference(found, reference_stable_search(f, w, kind), f, w, kind)
+
+
+@pytest.mark.parametrize("kind", ["deterministic", "nondeterministic"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("codes", [[STAR], [1], [1, STAR], [0], [0, STAR]])
+def test_stable_search_on_tables_without_0_or_1_inputs(codes, n, kind):
+    f = from_table(np.resize(np.array(codes, dtype=np.int8), 1 << n))
+    for w in (1, 2):
+        found = oracles.stable_exhaustive_search(f, w, kind)
+        assert_found_as_reference(found, reference_stable_search(f, w, kind), f, w, kind)
+        if codes == [STAR]:  # program 0, accepting nowhere
+            assert found.accept == frozenset() and not found.levels[0].any()
+
+
+@pytest.mark.parametrize("f", [partial_mod(1, 6), not_o(6)])
+def test_stable_search_matches_product_states_at_nondeterministic_width_3(f):
+    found = oracles.stable_exhaustive_search(f, 3, "nondeterministic")
+    want = product_state_search(f, 3, "nondeterministic")
+    assert_found_as_reference(found, want, f, 3, "nondeterministic")
+
+
+@given(stable_program_tables("nondeterministic", 3, max_n=6))
+@settings(max_examples=10, deadline=None)
+def test_stable_search_matches_product_states_on_width_3_program_tables(f):
+    found = oracles.stable_exhaustive_search(f, 3, "nondeterministic")
+    want = product_state_search(f, 3, "nondeterministic")
+    assert want is not None
+    assert_found_as_reference(found, want, f, 3, "nondeterministic")
+
+
+# No table has its first hit at index 63 or 64 of these spaces: each of
+# those programs has a lower one that computes what it computes.  Nor in the
+# last, partial word of the 729 deterministic width-3 programs (from 704):
+# swapping nodes 1 and 2 maps each of them to a lower program.
 @pytest.mark.parametrize("f, w, kind", [
-    (partial_mod(0, 4), 2, "deterministic"),  # found at index 6
+    (partial_mod(0, 4), 2, "deterministic"),  # found at index 6, in the space's one word
     (partial_mod(0, 4), 2, "nondeterministic"),  # index 105
+    (table_of("1111000011111111"), 2, "nondeterministic"),  # index 62, in the first word
+    (table_of("0000010000000000"), 2, "nondeterministic"),  # index 66, in the second
+    (table_of("0001"), 3, "deterministic"),  # index 85, in the second word
     (mod_count(3, 6), 3, "deterministic"),  # index 200
+    (table_of("0000000100000001"), 3, "deterministic"),  # index 619, the highest hit
     (partial_mod(1, 5), 2, "nondeterministic"),  # none
 ])
 def test_chunked_stable_search_matches_one_chunk(f, w, kind, monkeypatch):
     whole = oracles.stable_exhaustive_search(f, w, kind)
-    # three programs per chunk, so hits land in later chunks
+    # a first chunk of one 64-program word, so hits past index 63 land in
+    # later chunks
     monkeypatch.setattr(oracles, "_SEARCH_STATES", 3 << max(f.n, w))
     chunked = oracles.stable_exhaustive_search(f, w, kind)
     assert (whole is None) == (chunked is None)
