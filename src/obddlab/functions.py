@@ -91,6 +91,11 @@ class FunctionSpec:
 
     @property
     def total(self) -> bool:
+        """No input is undefined: read off the count profile when there is
+        one (every count in it is some input's), else off the table."""
+        profile = self.count_profile()
+        if profile is not None:
+            return None not in profile.values()
         return bool(np.all(self.truth_table() != STAR))
 
     def truth_table(self) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Independent width oracles.
 
-These compute, by brute force over truth tables, how wide a program *must*
-be, so that the widths of the explicit constructions can be checked against
-something that knows nothing about how the constructions work.
+These compute, by brute force over prefix classes, how wide a program
+*must* be, so that the widths of the explicit constructions can be checked
+against something that knows nothing about how the constructions work.
 
 Under a fixed order, the *row* of a length-``j`` prefix maps suffixes to
 {0, 1, undefined}; prefixes with equal rows form a *class*.  One routine,
@@ -10,7 +10,11 @@ Under a fixed order, the *row* of a length-``j`` prefix maps suffixes to
 reduction does (Bryant 1986; Sieling & Wegener 1993): the level-``n``
 classes are the distinct leaf codes, a prefix ``p`` is classed by the pair
 (class of ``p0``, class of ``p1``), and the distinct pairs are the
-successor maps.  The first four oracles read its output.
+successor maps.  It runs over the ``2**n`` prefixes of the ordered truth
+table, or, for the families with a count profile, over the at most
+``n + 1`` counts of ones a prefix can have, with no table: the same
+classes, numbered alike, in ``O(n**2)``.  The first four oracles read its
+output, and their reports' ``method`` says which of the two ran.
 
 * :func:`subfunction_widths` -- exact minimal width per level for a *total*
   function: the class count (the quotient argument).
@@ -47,11 +51,14 @@ from a partition, the next level's *forced* partition (the finest one
 satisfying (b)) is computed by union-find; finer partitions dominate
 coarser ones, so only when the forced partition exceeds ``w`` blocks does
 the search branch over ways of merging it down to exactly ``w`` consistent
-blocks.  This is exact for total functions.  For partial functions it can
-*overestimate*: "prefixes with identical rows may share a node" does not
-hold there, since the narrowest program may have to split a class over
-several nodes (``partial_mod(1, 5)`` gets 4 where a width-3 program
-exists; see ``bench/README.md``).  The reports still say ``kind="exact"``.
+blocks.  At ``w = max_j counts[j]`` the all-singleton sequence is found
+with no search (:func:`_singletons`); a total function starts there, since
+its lower bound is that width.  This is exact for total functions.  For
+partial functions it can *overestimate*: "prefixes with identical rows may
+share a node" does not hold there, since the narrowest program may have to
+split a class over several nodes (``partial_mod(1, 5)`` gets 4 where a
+width-3 program exists; see ``bench/README.md``).  The reports still say
+``kind="exact"``.
 
 Stable search
 -------------
@@ -148,10 +155,15 @@ class WidthReport:
 # tables and prefix classes
 # ---------------------------------------------------------------------------
 
-def _ordered_table(f: FunctionSpec, order: VariableOrder | None) -> tuple[np.ndarray, VariableOrder]:
+def _checked_order(f: FunctionSpec, order: VariableOrder | None) -> VariableOrder:
     order = order or natural_order(f.n)
     if order.n != f.n:
         raise ValueError(f"order is over n = {order.n} but function has n = {f.n}")
+    return order
+
+
+def _ordered_table(f: FunctionSpec, order: VariableOrder | None) -> tuple[np.ndarray, VariableOrder]:
+    order = _checked_order(f, order)
     return cube_transpose(f.truth_table(), order.perm), order
 
 
@@ -231,14 +243,23 @@ def _leaf_ids(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Classes:
-    """The prefix classes of an ordered table at every level ``0..n``.
+    """The classes of every level ``0..n`` under a fixed order.
 
-    * ``ids[j][p]`` -- class of the length-``j`` prefix ``p`` (its bits in
-      test order, read as a number): int8 at level ``n`` (:func:`_leaf_ids`),
-      int32 above it (:func:`_pair_ranks`);
+    * ``ids[j][r]`` -- class of the level-``j`` representative ``r``: int8
+      at level ``n`` (:func:`_leaf_ids`), int32 above it (:func:`_pair_ranks`);
     * ``counts[j]`` -- number of classes at level ``j``;
     * ``succ[j] = (s0, s1)`` -- class of each class's 0- and 1-extension;
-    * ``leaf[c]`` -- the code {0, 1, STAR} of level-``n`` class ``c``.
+    * ``leaf[c]`` -- the code {0, 1, STAR} of level-``n`` class ``c``;
+    * ``builder`` -- which of the two builders below ran.
+
+    One ranking loop (:meth:`_rank`) serves two builders.  It takes the
+    leaf codes of the level-``n`` representatives and a rule that splits
+    each level-``j`` representative into its 0- and 1-extension at level
+    ``j + 1``, and classes the representative by the pair of their classes.
+    ``_Classes(table)`` takes an ordered truth table, whose representatives
+    are the prefixes (bits in test order, read as a number): ``p`` splits
+    into ``2p`` and ``2p + 1``.  :meth:`from_profile` takes a count profile
+    and needs no table.
 
     Class ids follow the sorted order of the rows: all rows of one level
     have the same length, so once a level's ids follow row order, so does
@@ -246,14 +267,46 @@ class _Classes:
     """
 
     def __init__(self, table: np.ndarray):
-        n = self.n = table.size.bit_length() - 1
-        self.leaf, leaf_ids = _leaf_ids(table)
+        self.builder = "built from the truth table"
+        self._rank(table, table.size.bit_length() - 1,
+                   lambda j, below: (below[0::2], below[1::2]))
+
+    @classmethod
+    def from_profile(cls, codes: np.ndarray, counted: list[bool]) -> _Classes:
+        """The classes of a function whose value is ``codes[c]``, ``c`` the
+        number of ones among the *counted* variables; ``counted[j]`` says
+        whether the ``j``-th variable read is one.  The representatives of
+        level ``j`` are the counts ``0..m_j``, ``m_j`` the number of counted
+        variables among the first ``j`` read, and count ``c`` splits into
+        ``(c, c + 1)`` past a counted variable, into ``(c, c)`` past another.
+
+        This gives the structure of ``_Classes`` on the ordered table, with
+        the same class numbers.  The row of a length-``j`` prefix depends
+        only on its count ``c``, since a suffix of count ``d`` completes it
+        to ``codes[c + d]``; so, from level ``n`` up, the table builder
+        gives every prefix of count ``c`` the class this builder gives
+        ``c``.  At level ``n`` both rank the same set of codes, since every
+        count ``0..m_n`` is that of some input.  At level ``j`` the table
+        builder ranks the pairs of the prefixes' extensions and this one
+        the pairs of the counts' extensions; every count ``0..m_j`` is that
+        of some prefix, so both rank the same set of distinct pair keys.
+        Hence ``counts``, ``succ``, ``leaf``, the clash rows and the
+        star-group maxima agree; only ``ids`` is indexed differently.
+        """
+        classes = cls.__new__(cls)
+        classes.builder = "built from the count profile"
+        classes._rank(codes, len(counted),
+                      lambda j, below: (below[:-1], below[1:]) if counted[j] else (below, below))
+        return classes
+
+    def _rank(self, codes: np.ndarray, n: int, split):
+        self.n = n
+        self.leaf, leaf_ids = _leaf_ids(codes)
         self.ids = [None] * n + [leaf_ids]
         self._pairs = [None] * n
         k = self.leaf.size
         for j in range(n - 1, -1, -1):
-            below = self.ids[j + 1]
-            self._pairs[j], self.ids[j] = _pair_ranks(below[0::2], below[1::2], k)
+            self._pairs[j], self.ids[j] = _pair_ranks(*split(j, self.ids[j + 1]), k)
             k = self._pairs[j].size
         self.counts = [pairs.size for pairs in self._pairs] + [self.leaf.size]
         self._clash: list[tuple[np.ndarray, list[int]] | None] = [None] * (n + 1)
@@ -266,7 +319,11 @@ class _Classes:
     def star_group_maxima(self) -> list[int]:
         """Per level, the most classes that share one set of undefined
         suffixes.  Those sets are ranked like the classes, over classes
-        instead of prefixes, from the undefined leaf code up."""
+        instead of prefixes, from the undefined leaf code up.  With no
+        undefined leaf every row's set is empty, so each level is one
+        group and the maxima are the counts."""
+        if STAR not in self.leaf:
+            return list(self.counts)
         group, k = (self.leaf == STAR).astype(np.int64), 2
         maxima = [int(np.bincount(group).max())]
         for s0, s1 in reversed(self.succ):
@@ -300,6 +357,20 @@ class _Classes:
         return not any(clash[c] & members for c in block)
 
 
+def _classes(f: FunctionSpec, order: VariableOrder | None) -> tuple[_Classes, VariableOrder]:
+    """The classes of ``f`` under ``order``: from the count profile when
+    ``f`` has one, with no truth table, else from the ordered table.  A
+    ``"ones"`` profile counts every variable; a ``"prefix_ones"`` profile
+    counts variables ``0..k-1`` wherever the order reads them."""
+    order = _checked_order(f, order)
+    profile = f.count_profile()
+    if profile is None:
+        return _Classes(cube_transpose(f.truth_table(), order.perm)), order
+    counted = f.n if f.symmetry == "ones" else f.k
+    codes = np.array([STAR if v is None else v for v in profile.values()], dtype=np.int8)
+    return _Classes.from_profile(codes, [v < counted for v in order.perm]), order
+
+
 def prefix_classes(f: FunctionSpec, order: VariableOrder | None, level: int) -> list[PrefixClass]:
     """The distinct prefix behavior classes at one level; each
     representative is the first prefix of its class."""
@@ -328,15 +399,14 @@ def subfunction_widths(f: FunctionSpec, order: VariableOrder | None = None,
     """
     if f.n > n_cap:
         raise CapExceededError(f"subfunction oracle needs n <= {n_cap}, got {f.n}")
-    table, order = _ordered_table(f, order)
-    classes = _Classes(table)
+    classes, order = _classes(f, order)
     if STAR in classes.leaf:
         raise ValueError(f"{f.name} is partial; use partial_min_width_exact")
     return WidthReport(
         per_level=tuple(classes.counts),
         max_width=max(classes.counts),
         kind="exact",
-        method="distinct subfunctions per level",
+        method=f"distinct subfunctions per level, classes {classes.builder}",
         order=order.perm,
     )
 
@@ -357,13 +427,13 @@ def distinguishability_lower_bound(f: FunctionSpec, order: VariableOrder | None 
     """
     if f.n > n_cap:
         raise CapExceededError(f"distinguishability oracle needs n <= {n_cap}, got {f.n}")
-    table, order = _ordered_table(f, order)
-    per_level = _Classes(table).star_group_maxima()
+    classes, order = _classes(f, order)
+    per_level = classes.star_group_maxima()
     return WidthReport(
         per_level=tuple(per_level),
         max_width=max(per_level),
         kind="lower_bound",
-        method="max set of pairwise comparable nonequivalent prefix classes",
+        method=f"max set of pairwise comparable nonequivalent prefix classes, {classes.builder}",
         order=order.perm,
     )
 
@@ -469,6 +539,19 @@ def _search(levels: _Classes, w: int, class_cap: int):
     return rec(0, start)
 
 
+def _singletons(levels: _Classes):
+    """What ``_search(levels, max(levels.counts), cap)`` returns, without
+    the search: the sequence of all-singleton partitions.  From singletons
+    ``rec`` forces no union, so the forced partition is the singletons of
+    the next level, sorted; singleton blocks are consistent, and they
+    number ``counts[j + 1] <= w``, so ``rec`` descends with them at every
+    level, never branches (hence never meets the cap) and returns them
+    from the single empty-prefix class down.  A total table has
+    ``lower == upper`` (its star-group maxima are its counts), so its
+    search reduces to this."""
+    return [tuple((c,) for c in range(m)) for m in levels.counts]
+
+
 def partial_min_width_exact(f: FunctionSpec, order: VariableOrder | None = None,
                             *, class_cap: int = 12, n_cap: int = 12) -> WidthReport:
     """Minimal OBDD width of a (possibly partial) function.
@@ -488,12 +571,11 @@ def partial_min_width_exact(f: FunctionSpec, order: VariableOrder | None = None,
 def _partial_min_width_witness(f, order, *, class_cap: int, n_cap: int):
     if f.n > n_cap:
         raise CapExceededError(f"partial oracle needs n <= {n_cap}, got {f.n}")
-    table, order = _ordered_table(f, order)
-    levels = _Classes(table)
+    levels, order = _classes(f, order)
     lower = max(levels.star_group_maxima())
     upper = max(levels.counts)
     for w in range(lower, upper + 1):
-        witness = _search(levels, w, class_cap)
+        witness = _singletons(levels) if w == upper else _search(levels, w, class_cap)
         if witness is not None:
             per_level = tuple(len(p) for p in witness)
             return (
@@ -501,7 +583,7 @@ def _partial_min_width_witness(f, order, *, class_cap: int, n_cap: int):
                     per_level=per_level,
                     max_width=max(per_level),
                     kind="exact",
-                    method="partition-sequence search over prefix classes",
+                    method=f"partition-sequence search over prefix classes, {levels.builder}",
                     order=order.perm,
                 ),
                 (levels, witness, order),

@@ -15,6 +15,7 @@ from obddlab import (
     program_width,
     validate_program,
 )
+from obddlab import oracles
 from obddlab.core import cube_transpose
 from obddlab.constructions import (
     build_det_eqs,
@@ -25,7 +26,10 @@ from obddlab.functions import (
     from_table,
     mod_count,
     not_o,
+    not_o_prefix,
     not_pal,
+    not_power,
+    not_square,
     partial_mod,
 )
 from obddlab.oracles import (
@@ -37,6 +41,7 @@ from obddlab.oracles import (
     stable_exhaustive_search,
     subfunction_widths,
 )
+from obddlab.serialize import encode_program
 
 
 def random_total_table(rng, n):
@@ -315,6 +320,90 @@ def test_subset_search_matches_the_bench_reference_at_n_8_to_10():
         assert report.max_width == reference.min_width_over_orders(f.truth_table(), f.n)
         at = subfunction_widths(f, VariableOrder(f.n, report.order))
         assert at.per_level == report.per_level
+
+
+# ---------------------------------------------------------------------------
+# class structures from count profiles
+# ---------------------------------------------------------------------------
+
+def symmetric_members(max_n):
+    """Every member of the families with a count profile at n <= max_n;
+    PartialMOD up to the first k whose 0-count 2**k is past n."""
+    for n in range(1, max_n + 1):
+        yield from (not_o(n), not_square(n), not_power(n))
+        yield from (mod_count(k, n) for k in range(2, n // 2 + 1))
+        yield from (partial_mod(k, n) for k in range(n.bit_length() + 1))
+        yield from (not_o_prefix(k, n) for k in range(2, n + 1, 2))
+
+
+def _structure(classes):
+    return (classes.counts, [np.stack(succ).tolist() for succ in classes.succ],
+            classes.leaf.tolist(), classes.star_group_maxima(),
+            [classes.clash(j) for j in range(classes.n + 1)])
+
+
+def _oracle_reports(f, order):
+    """The class oracles' reports on ``f`` under ``order``, less
+    ``method``, and the encoded minimal program where the partition
+    search runs; a cap hit is part of the answer."""
+    def fields(report):
+        return report.per_level, report.max_width, report.kind, report.order
+
+    reports = [fields(distinguishability_lower_bound(f, order))]
+    if f.total:
+        reports.append(fields(subfunction_widths(f, order)))
+    if f.n <= 12:
+        try:
+            reports.append(fields(partial_min_width_exact(f, order)))
+            reports.append(encode_program(minimal_obdd(f, order)))
+        except CapExceededError as error:
+            reports.append(str(error))
+    return reports
+
+
+def test_profile_builder_matches_the_table_builder():
+    """Every symmetric member at n <= 16, under the natural order and two
+    random ones (for NotOk these mostly read a variable past its first k
+    before all of the first k): the same class structure, and the same
+    oracle answers and minimal programs as its ``from_table`` copy."""
+    rng = np.random.default_rng(3)
+    members = list(symmetric_members(16))
+    assert len(members) == 231
+    assert {f.symmetry for f in members} == {"ones", "prefix_ones"}
+    for f in members:
+        copy = from_table(f.truth_table())
+        assert f.total == copy.total
+        orders = [None] + [VariableOrder(f.n, tuple(rng.permutation(f.n).tolist()))
+                           for _ in range(2)]
+        for order in orders:
+            profile, at = oracles._classes(f, order)
+            table, at_copy = oracles._classes(copy, order)
+            assert "count profile" in profile.builder and "truth table" in table.builder
+            assert at == at_copy
+            assert _structure(profile) == _structure(table), (f, order)
+            if f.n <= 12 or order is None:
+                assert _oracle_reports(f, order) == _oracle_reports(copy, order), (f, order)
+
+
+def test_class_oracle_methods_name_the_builder():
+    f = partial_mod(1, 6)
+    copy = from_table(f.truth_table())
+    for oracle in (distinguishability_lower_bound, partial_min_width_exact):
+        assert oracle(f).method.endswith("built from the count profile")
+        assert oracle(copy).method.endswith("built from the truth table")
+    assert subfunction_widths(not_o(6)).method.endswith("built from the count profile")
+
+
+@pytest.mark.parametrize("oracle", [subfunction_widths, distinguishability_lower_bound,
+                                    partial_min_width_exact, minimal_obdd])
+@pytest.mark.parametrize("source", ["profile", "table"])
+def test_class_oracles_refuse_an_order_over_another_n(oracle, source):
+    f = mod_count(2, 6)
+    if source == "table":
+        f = from_table(f.truth_table())
+    for n in (5, 7):
+        with pytest.raises(ValueError, match=f"order is over n = {n} but function has n = 6"):
+            oracle(f, natural_order(n))
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,13 @@ from obddlab import (
     lift_deterministic,
     natural_order,
     nobdd_to_obdd_subset,
+    program_width,
     programs_structurally_equal,
     simulate,
     state_trace,
     validate_program,
 )
-from obddlab import InvalidProgramError, core, oracles
+from obddlab import CapExceededError, InvalidProgramError, core, oracles
 from obddlab.core import KINDS
 from obddlab.constructions import (
     build_det_mod,
@@ -738,6 +739,24 @@ def test_bottom_up_classes_match_the_row_dict_reference(case):
         for a, b in itertools.product(range(len(rows)), repeat=2):
             want = any({x, y} == {0, 1} for x, y in zip(rows[a], rows[b]))
             assert bool(clash[a] >> b & 1) == want
+
+
+@given(tables_under_orders())
+@settings(max_examples=150, deadline=None)
+def test_witness_at_the_widest_level_is_the_singleton_sequence(case):
+    """``_singletons`` stands in for the search at ``w = max(counts)``: the
+    search returns the same sequence there, and never branches, so never
+    meets even a class cap of 0; and the program built from the witness
+    computes ``f`` at the reported width."""
+    f, order = case
+    levels, _ = oracles._classes(f, order)
+    assert oracles._search(levels, max(levels.counts), 0) == oracles._singletons(levels)
+    try:
+        program = minimal_obdd(f, order)
+    except CapExceededError:  # a narrower width branched past the class cap
+        return
+    assert program_width(program).max_width == partial_min_width_exact(f, order).max_width
+    assert computes(program, f, AcceptanceMode.deterministic()).ok
 
 
 #: keys on either side of the crossover of _pair_ranks from searchsorted
