@@ -285,7 +285,8 @@ class AcceptanceMode:
     to :data:`EXACT_TOL`; ``bounded_error(eps)`` demands at least
     ``1/2 + eps`` on 1-inputs and at most ``1/2 - eps`` on 0-inputs;
     ``nondeterministic(cutoff)`` treats probability above ``cutoff`` as
-    acceptance (``cutoff = 0`` is the classical existing-path test).
+    acceptance (``cutoff = 0`` is the classical existing-path test), for
+    a cutoff in ``[0, 1)``: at or above 1 nothing would be accepted.
     The tests apply elementwise to arrays of probabilities.
     """
 
@@ -300,8 +301,9 @@ class AcceptanceMode:
             if self.epsilon is None or not 0.0 < self.epsilon <= 0.5:
                 raise ValueError("bounded_error needs epsilon in (0, 1/2]")
         if self.variant == "nondeterministic":
-            if self.cutoff is None or self.cutoff < 0.0:
-                raise ValueError("nondeterministic needs cutoff >= 0")
+            # written so that a NaN cutoff fails the test too
+            if self.cutoff is None or not 0.0 <= self.cutoff < 1.0:
+                raise ValueError(f"nondeterministic needs a cutoff in [0, 1), got {self.cutoff}")
 
     @classmethod
     def deterministic(cls) -> "AcceptanceMode":

@@ -6,6 +6,12 @@ applies and with symmetry metadata.  Undefined inputs (the promise setting)
 are reported as ``None`` by evaluators and as the code ``2`` in truth
 tables.
 
+The first six families count: each is its rule, the value at each number
+of ones among the bits it counts (all ``n``, or the first ``k`` for
+``NotOk``).  The rule is tabulated once as the count profile, and the
+evaluator, the truth table and :meth:`FunctionSpec.count_profile` all read
+that profile.
+
 Families
 --------
 ``PartialMOD``  1 when the number of ones is 0 mod ``2**(k+1)``, 0 when it
@@ -28,11 +34,11 @@ iff ``alpha == beta``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, IO, Sequence
+from typing import Callable, IO, Iterable, Sequence
 
 import numpy as np
 
-from .core import Bits, parse_bits
+from .core import Bits, cube_transpose, parse_bits
 
 #: truth-table code for "function undefined here"
 STAR = 2
@@ -77,6 +83,8 @@ class FunctionSpec:
     ``symmetry`` is ``"ones"`` when the value depends on the input only
     through its number of ones, ``"prefix_ones"`` when it depends only on
     the number of ones among the first ``k`` bits, and ``None`` otherwise.
+    A counting family is its rule: ``_profile`` holds its value at each
+    count, and its evaluator and table read it.
     """
 
     name: str
@@ -85,6 +93,7 @@ class FunctionSpec:
     symmetry: str | None
     _evaluate: Callable[[tuple[int, ...]], int | None] = field(repr=False)
     _build_table: Callable[[], np.ndarray] = field(repr=False)
+    _profile: tuple[int | None, ...] | None = field(default=None, repr=False)
 
     def __call__(self, bits: Bits) -> int | None:
         return self._evaluate(parse_bits(bits, self.n))
@@ -93,9 +102,8 @@ class FunctionSpec:
     def total(self) -> bool:
         """No input is undefined: read off the count profile when there is
         one (every count in it is some input's), else off the table."""
-        profile = self.count_profile()
-        if profile is not None:
-            return None not in profile.values()
+        if self._profile is not None:
+            return None not in self._profile
         return bool(np.all(self.truth_table() != STAR))
 
     def truth_table(self) -> np.ndarray:
@@ -112,45 +120,55 @@ class FunctionSpec:
         return cached
 
     def count_profile(self) -> dict[int, int | None] | None:
-        """Outcome per count class for the symmetric families, else None.
+        """Outcome per count class for the counting families, else None.
 
         Keys run over 0..n ones for ``"ones"`` symmetry and over 0..k ones
         within the examined prefix for ``"prefix_ones"``.
         """
-        if self.symmetry == "ones":
-            return {m: self._evaluate(_rep(m, self.n)) for m in range(self.n + 1)}
-        if self.symmetry == "prefix_ones":
-            k = self.k
-            return {m: self._evaluate(_rep(m, k) + (0,) * (self.n - k)) for m in range(k + 1)}
-        return None
-
-
-def _rep(m: int, length: int) -> tuple[int, ...]:
-    return (1,) * m + (0,) * (length - m)
+        return None if self._profile is None else dict(enumerate(self._profile))
 
 
 # ---------------------------------------------------------------------------
 # table helpers
 # ---------------------------------------------------------------------------
 
+def _profile_codes(profile: Iterable[int | None]) -> np.ndarray:
+    """A count profile's outcomes as int8 codes {0, 1, STAR}."""
+    return np.array([STAR if v is None else v for v in profile], dtype=np.int8)
+
+
 def _table_from_count_profile(n: int, profile: Sequence[int | None]) -> np.ndarray:
     # row s of t holds codes[s + popcount(x)] over the x seen so far: each
     # pass puts a new high bit in front, 0 from row s and 1 from row s + 1,
     # so after n passes the one row left is the table (no index array)
-    t = np.array([STAR if v is None else v for v in profile], dtype=np.int8)[:, None]
+    t = _profile_codes(profile)[:, None]
     for _ in range(n):
         t = np.concatenate([t[:-1], t[1:]], axis=1)
     return t[0]
 
 
 def _table_from_prefix_values(n: int, k: int, prefix_values: np.ndarray) -> np.ndarray:
-    # value depends only on the first k bits = the top k bits of the index
-    return np.repeat(prefix_values, 1 << (n - k))
+    # value depends only on the first k bits = the top k bits of the index;
+    # at k = n the prefix values are the table, and repeat would copy them
+    return np.repeat(prefix_values, 1 << (n - k)) if k < n else prefix_values
 
 
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
+
+def _counting(name: str, n: int, k: int | None, symmetry: str, counted: int,
+              value: Callable[[int], int | None]) -> FunctionSpec:
+    """The member whose value is ``value(c)`` at ``c`` ones in its first ``counted`` bits."""
+    profile = tuple(value(c) for c in range(counted + 1))
+    return FunctionSpec(
+        name=name, n=n, k=k, symmetry=symmetry,
+        _evaluate=lambda x: profile[sum(x[:counted])],
+        _build_table=lambda: _table_from_prefix_values(
+            n, counted, _table_from_count_profile(counted, profile)),
+        _profile=profile,
+    )
+
 
 def partial_mod(k: int, n: int) -> FunctionSpec:
     """1 on inputs with ``#ones = 0 mod 2**(k+1)``, 0 at ``2**k``, else undefined."""
@@ -158,88 +176,42 @@ def partial_mod(k: int, n: int) -> FunctionSpec:
         raise ValueError("k must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    period = 1 << (k + 1)
-    half = 1 << k
-
-    def value_of_count(m: int) -> int | None:
-        r = m % period
-        if r == 0:
-            return 1
-        if r == half:
-            return 0
-        return None
-
-    return FunctionSpec(
-        name="PartialMOD", n=n, k=k, symmetry="ones",
-        _evaluate=lambda x: value_of_count(sum(x)),
-        _build_table=lambda: _table_from_count_profile(
-            n, [value_of_count(m) for m in range(n + 1)]
-        ),
-    )
+    return _counting("PartialMOD", n, k, "ones", n, lambda m: {0: 1, 1 << k: 0}.get(m % (2 << k)))
 
 
 def mod_count(k: int, n: int) -> FunctionSpec:
     """1 iff the number of ones is divisible by ``k`` (requires 1 < k <= n/2)."""
     if not 1 < k <= n // 2:
         raise ValueError(f"MOD needs 1 < k <= n/2, got k = {k}, n = {n}")
-    return FunctionSpec(
-        name="MOD", n=n, k=k, symmetry="ones",
-        _evaluate=lambda x: int(sum(x) % k == 0),
-        _build_table=lambda: _table_from_count_profile(
-            n, [int(m % k == 0) for m in range(n + 1)]
-        ),
-    )
+    return _counting("MOD", n, k, "ones", n, lambda m: int(m % k == 0))
 
 
 def not_o(n: int) -> FunctionSpec:
     """0 iff ones and zeros balance (constant 1 for odd n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return FunctionSpec(
-        name="NotO", n=n, k=None, symmetry="ones",
-        _evaluate=lambda x: int(2 * sum(x) != n),
-        _build_table=lambda: _table_from_count_profile(
-            n, [int(2 * m != n) for m in range(n + 1)]
-        ),
-    )
+    return _counting("NotO", n, None, "ones", n, lambda m: int(2 * m != n))
 
 
 def not_o_prefix(k: int, n: int) -> FunctionSpec:
     """0 iff the first ``k`` bits hold exactly ``k/2`` ones (k even, 1 < k <= n)."""
     if k % 2 != 0 or not 1 < k <= n:
         raise ValueError(f"NotOk needs even k with 1 < k <= n, got k = {k}, n = {n}")
-    return FunctionSpec(
-        name="NotOk", n=n, k=k, symmetry="prefix_ones",
-        _evaluate=lambda x: int(sum(x[:k]) != k // 2),
-        _build_table=lambda: _table_from_prefix_values(
-            n, k, _table_from_count_profile(k, [int(2 * m != k) for m in range(k + 1)])),
-    )
+    return _counting("NotOk", n, k, "prefix_ones", k, lambda m: int(2 * m != k))
 
 
 def not_square(n: int) -> FunctionSpec:
     """0 iff ``#ones`` equals the square of ``#zeros``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return FunctionSpec(
-        name="NotSQUARE", n=n, k=None, symmetry="ones",
-        _evaluate=lambda x: int((n - sum(x)) ** 2 != sum(x)),
-        _build_table=lambda: _table_from_count_profile(
-            n, [int((n - m) ** 2 != m) for m in range(n + 1)]
-        ),
-    )
+    return _counting("NotSQUARE", n, None, "ones", n, lambda m: int((n - m) ** 2 != m))
 
 
 def not_power(n: int) -> FunctionSpec:
     """0 iff ``#ones`` equals ``2 ** (#zeros)``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return FunctionSpec(
-        name="NotPOWER", n=n, k=None, symmetry="ones",
-        _evaluate=lambda x: int(2 ** (n - sum(x)) != sum(x)),
-        _build_table=lambda: _table_from_count_profile(
-            n, [int(2 ** (n - m) != m) for m in range(n + 1)]
-        ),
-    )
+    return _counting("NotPOWER", n, None, "ones", n, lambda m: int(2 ** (n - m) != m))
 
 
 def _eqs_prefix_values(k: int) -> np.ndarray:
@@ -292,11 +264,9 @@ def not_pal(n: int) -> FunctionSpec:
         raise ValueError("n must be >= 1")
 
     def build() -> np.ndarray:
-        idx = np.arange(1 << n, dtype=np.int64)
-        rev = np.zeros_like(idx)
-        for j in range(n):
-            rev |= ((idx >> j) & 1) << (n - 1 - j)
-        return (idx != rev).astype(np.int8)
+        # reversing the input reverses the axes of the table's (2,) * n cube
+        idx = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+        return (idx != cube_transpose(idx, tuple(reversed(range(n))))).astype(np.int8)
 
     return FunctionSpec(
         name="NotPAL", n=n, k=None, symmetry=None,

@@ -101,7 +101,7 @@ from .core import (
     level_relation,
     natural_order,
 )
-from .functions import STAR, FunctionSpec
+from .functions import STAR, FunctionSpec, _profile_codes
 
 __all__ = [
     "PrefixClass",
@@ -360,15 +360,14 @@ class _Classes:
 def _classes(f: FunctionSpec, order: VariableOrder | None) -> tuple[_Classes, VariableOrder]:
     """The classes of ``f`` under ``order``: from the count profile when
     ``f`` has one, with no truth table, else from the ordered table.  A
-    ``"ones"`` profile counts every variable; a ``"prefix_ones"`` profile
-    counts variables ``0..k-1`` wherever the order reads them."""
+    profile over the counts ``0..m`` counts variables ``0..m-1`` wherever
+    the order reads them."""
     order = _checked_order(f, order)
     profile = f.count_profile()
     if profile is None:
         return _Classes(cube_transpose(f.truth_table(), order.perm)), order
-    counted = f.n if f.symmetry == "ones" else f.k
-    codes = np.array([STAR if v is None else v for v in profile.values()], dtype=np.int8)
-    return _Classes.from_profile(codes, [v < counted for v in order.perm]), order
+    codes = _profile_codes(profile.values())
+    return _Classes.from_profile(codes, [v < codes.size - 1 for v in order.perm]), order
 
 
 def prefix_classes(f: FunctionSpec, order: VariableOrder | None, level: int) -> list[PrefixClass]:

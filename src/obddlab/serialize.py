@@ -180,7 +180,8 @@ def decode_program(text: str) -> ObddProgram:
     """Parse a document back into a program.
 
     Malformed text raises :class:`ProgramFormatError` with its line number,
-    including levels whose dense transition array would exceed
+    including content after ``end`` (blank lines and ``#`` comments aside)
+    and levels whose dense transition array would exceed
     ``_MAX_LEVEL_ENTRIES`` entries (rejected at the ``widths`` line, before
     any allocation); validation failures raise
     :class:`~obddlab.core.InvalidProgramError` naming the level.
@@ -231,15 +232,19 @@ def decode_program(text: str) -> ObddProgram:
         keys = []
         for sym in (0, 1):
             lineno, toks = r.keyword("level")
-            if _ints(lineno, toks[:1], "level") != [j] or toks[1:2] != ["symbol"] or \
-                    _ints(lineno, toks[2:3], "symbol") != [sym]:
+            if len(toks) != 3 or _ints(lineno, toks[:1], "level") != [j] or \
+                    toks[1] != "symbol" or _ints(lineno, toks[2:], "symbol") != [sym]:
                 raise ProgramFormatError(lineno, f"expected 'level {j} symbol {sym}'")
             keys.append(_read_payload(r, kind, widths[j - 1], widths[j], j, sym, parsed))
         key = tuple(keys)
         if key not in arrays:
             arrays[key] = _combine(kind, [parsed[k] for k in keys], widths[j])
         levels.append(arrays[key])
-    r.keyword("end")
+    lineno, toks = r.keyword("end")
+    if toks:
+        raise ProgramFormatError(lineno, f"'end' takes no values, got {toks!r}")
+    if r.pos < len(r.lines):
+        raise ProgramFormatError(r.linenos[r.pos], "content after 'end'")
 
     p = ObddProgram(
         kind=kind, order=order, widths=tuple(widths), levels=tuple(levels),

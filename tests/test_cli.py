@@ -52,6 +52,17 @@ def test_verify_counterexample_exits_2(tmp_path, capsys):
     assert code == 2 and out.startswith("no")
 
 
+@pytest.mark.parametrize("cutoff", ["nan", "inf", "1.0"])
+def test_verify_refuses_a_cutoff_outside_zero_one(tmp_path, capsys, cutoff):
+    prog = tmp_path / "p.obdd"
+    run(capsys, "build", "--function", "mod", "--model", "deterministic",
+        "--k", "3", "--n", "6", "--out", str(prog))
+    code, out, err = run(capsys, "verify", str(prog), "--function", "mod", "--k", "3",
+                         "--n", "6", "--mode", "nondeterministic", "--cutoff", cutoff)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "cutoff in [0, 1)" in err
+
+
 def test_verify_quantum_exhaustively(tmp_path, capsys):
     prog = tmp_path / "q.obdd"
     run(capsys, "build", "--function", "partialmod", "--model", "quantum",

@@ -353,6 +353,13 @@ def test_acceptance_mode_parameter_validation():
     with pytest.raises(ValueError):
         AcceptanceMode.nondeterministic(-1.0)
     assert AcceptanceMode.bounded_error(0.5).accepts_yes(1.0)
+    assert AcceptanceMode.nondeterministic(0.999).accepts_yes(1.0)
+
+
+@pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), float("-inf"), 1.0, -0.1])
+def test_nondeterministic_cutoff_must_lie_in_zero_one(cutoff):
+    with pytest.raises(ValueError, match=r"cutoff in \[0, 1\)"):
+        AcceptanceMode.nondeterministic(cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,33 @@ def test_count_profile_tables_index_the_codes_by_popcount(n):
     assert got.tolist() == [int(codes[bin(i).count("1")]) for i in range(1 << n)]
 
 
+def _closed_forms(max_n):
+    """Every counting-family member at n <= max_n with its symmetry tag and
+    its value at m counted ones, the rules written out from the module
+    docstring; NotOk counts its first k bits, k = n included."""
+    for n in range(1, max_n + 1):
+        for k in range(n.bit_length() + 1):
+            yield partial_mod(k, n), "ones", n, \
+                lambda m, k=k: 1 if m % 2 ** (k + 1) == 0 else 0 if m % 2 ** (k + 1) == 2 ** k else None
+        for k in range(2, n // 2 + 1):
+            yield mod_count(k, n), "ones", n, lambda m, k=k: int(m % k == 0)
+        yield not_o(n), "ones", n, lambda m, n=n: int(m != n - m)
+        for k in range(2, n + 1, 2):
+            yield not_o_prefix(k, n), "prefix_ones", k, lambda m, k=k: int(m != k // 2)
+        yield not_square(n), "ones", n, lambda m, n=n: int(m != (n - m) ** 2)
+        yield not_power(n), "ones", n, lambda m, n=n: int(m != 2 ** (n - m))
+
+
+def test_every_counting_member_has_its_closed_form_profile():
+    seen = set()
+    for f, symmetry, counted, rule in _closed_forms(16):
+        want = {m: rule(m) for m in range(counted + 1)}
+        assert (f.symmetry, f.count_profile()) == (symmetry, want), (f.name, f.k, f.n)
+        assert f.total == (None not in want.values())
+        seen.add(f.name)
+    assert seen == {"PartialMOD", "MOD", "NotO", "NotOk", "NotSQUARE", "NotPOWER"}
+
+
 # ---------------------------------------------------------------------------
 # family invariants
 # ---------------------------------------------------------------------------

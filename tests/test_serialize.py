@@ -106,6 +106,42 @@ def test_decode_requires_end_marker():
         decode_program(text.replace("end", ""))
 
 
+@pytest.mark.parametrize("tail,lineno", [
+    ("end\nlevel 1 symbol 0\n", 2),
+    ("end\n\n# comment\n  junk  \n", 4),
+    ("end junk\n", 1),
+], ids=["a level line", "junk after a comment", "a value on the end line"])
+def test_decode_rejects_content_after_end_at_its_line(tail, lineno):
+    text = encode_program(build_det_mod(2, 4))
+    head = text[:text.rindex("end\n")]
+    with pytest.raises(ProgramFormatError) as err:
+        decode_program(head + tail)
+    assert err.value.lineno == head.count("\n") + lineno
+
+
+def test_decode_rejects_two_documents_pasted_together():
+    text = encode_program(build_det_mod(2, 4))
+    with pytest.raises(ProgramFormatError, match="after 'end'") as err:
+        decode_program(text + text)
+    assert err.value.lineno == text.count("\n") + 1
+
+
+def test_decode_rejects_extra_tokens_on_a_level_line():
+    text = encode_program(build_det_mod(2, 4))
+    lines = text.splitlines()
+    hit = lines.index("level 1 symbol 0")
+    lines[hit] += " junk"
+    with pytest.raises(ProgramFormatError, match="expected 'level 1 symbol 0'") as err:
+        decode_program("\n".join(lines))
+    assert err.value.lineno == hit + 1
+
+
+def test_decode_accepts_blank_lines_and_comments_after_end():
+    p = build_det_mod(2, 4)
+    q = decode_program(encode_program(p) + "\n  \n# trailing note\n\n")
+    assert programs_structurally_equal(p, q)
+
+
 def test_decode_rejects_truncated_documents():
     text = encode_program(build_det_mod(2, 4))
     with pytest.raises(ProgramFormatError):
