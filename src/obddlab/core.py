@@ -27,14 +27,27 @@ Nodes are numbered ``0..w[j]-1`` within each level.  Matrices act as
 ``v_next = M @ v`` with ``M[u, s]`` the weight of the move from source node
 ``s`` to target node ``u`` (columns are sources).
 
-One private kernel, :func:`_advance`, moves a batch of states through one
-level on both symbols; a state is a node index, a reachable-set row or a
-state-vector row.  Simulation and the traces run it on one input,
-:func:`acceptance_table` (and with it :func:`computes`) on all ``2**n``
-inputs by prefix doubling, reachability on reachable sets, and validation
-on the basis states.  The stable search of :mod:`obddlab.oracles` steps
-bit-planes, the reachable sets of 64 candidate programs per machine word,
-with its own AND and OR, not through the kernel.
+Every level array is stored source-major: its source axis (the last) is
+outermost in memory, then the symbol axis, so that the transitions of a
+node on both symbols lie side by side.
+
+One kernel for batches, one walk for single inputs.  The private kernel
+:func:`_advance` moves a batch of states through one level on both
+symbols; a state is a node index, a reachable-set row or a state-vector
+row.  :func:`acceptance_table` (and with it :func:`computes`) runs it on
+all ``2**n`` inputs by prefix doubling, reachability on reachable sets,
+validation on the basis states and the subset construction on subset
+rows.  :func:`simulate` and the traces follow one input's path instead,
+through :func:`_walk`: each distinct level object is compiled once per
+program, on first use, into a Python successor list (deterministic), one
+target bitmask per (symbol, node) (nondeterministic; a reachable set is a
+Python int) or a pair of matrix views (the vector kinds), and each step
+reads only the symbol's part.  The compiled levels are memoized on the
+immutable program; a distinct level costs two lists of ``w_in`` Python
+ints (successors, or masks of ``w_out`` bits), or two views that copy
+nothing.  The stable search of :mod:`obddlab.oracles` steps bit-planes,
+the reachable sets of 64 candidate programs per machine word, with its
+own AND and OR, not through either.
 
 A program is *stable* when every level carries the identical transition
 pair, and *ID* when its order is the natural one; a stable ID program of
@@ -151,20 +164,30 @@ def pairing_order(n: int) -> VariableOrder:
     return VariableOrder(n, tuple(perm))
 
 
-def _pair(on0, on1, dtype, node_major=False) -> np.ndarray:
+def _source_major(t: np.ndarray) -> np.ndarray:
+    """``t``, or a read-only copy of it whose source axis (the last) is
+    outermost in memory and its symbol axis next (module docstring)."""
+    front = t.transpose(t.ndim - 1, *range(t.ndim - 1))
+    if front.flags.c_contiguous:
+        return t
+    a = np.ascontiguousarray(front).transpose(*range(1, t.ndim), 0)
+    a.setflags(write=False)
+    return a
+
+
+def _pair(on0, on1, dtype) -> np.ndarray:
     a, b = np.asarray(on0, dtype=dtype), np.asarray(on1, dtype=dtype)
     if a.shape != b.shape:
         raise ValueError(f"symbol transitions disagree in shape: {a.shape} vs {b.shape}")
-    t = np.stack([a, b], axis=-1).T if node_major else np.stack([a, b])
+    t = _source_major(np.stack([a, b]))
     t.setflags(write=False)
     return t
 
 
 def level_map(on0: Iterable[int], on1: Iterable[int]) -> np.ndarray:
     """Deterministic level ``int[2, w_in]`` from two source-indexed target
-    lists, stored node-major, so that a node's two successors lie side by
-    side for the stepping kernel."""
-    return _pair(list(on0), list(on1), np.intp, node_major=True)
+    lists."""
+    return _pair(list(on0), list(on1), np.intp)
 
 
 def level_relation(on0: Iterable[Iterable[int]], on1: Iterable[Iterable[int]],
@@ -174,15 +197,15 @@ def level_relation(on0: Iterable[Iterable[int]], on1: Iterable[Iterable[int]],
     rows = (list(on0), list(on1))
     if len(rows[0]) != len(rows[1]):
         raise ValueError("symbol transitions disagree in source dimension")
-    t = np.zeros((2, width, len(rows[0])), dtype=bool)
+    t = np.zeros((len(rows[0]), 2, width), dtype=bool)  # source-major
     for sym, per_source in enumerate(rows):
         for s, targets in enumerate(per_source):
             for u in targets:
                 if not 0 <= u < width:
                     raise ValueError(f"symbol {sym}: node {s} maps to {u} outside 0..{width - 1}")
-                t[sym, u, s] = True
+                t[s, sym, u] = True
     t.setflags(write=False)
-    return t
+    return t.transpose(1, 2, 0)
 
 
 def level_stochastic(on0, on1) -> np.ndarray:
@@ -230,17 +253,14 @@ class ObddProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        # deterministic levels are kept node-major (see level_map), which
-        # the kernel reads without a copy; each distinct object is converted
+        # levels are kept source-major (module docstring), which the
+        # kernel reads without a copy; each distinct object is converted
         # once, so a stable program still repeats one array
         arrays = {}
         for t in self.levels:
             if id(t) not in arrays:
                 a = np.asarray(t)
-                if a.ndim == 2 and not a.T.flags.c_contiguous:
-                    a = np.ascontiguousarray(a.T).T
-                    a.setflags(write=False)
-                arrays[id(t)] = a
+                arrays[id(t)] = _source_major(a) if a.ndim in (2, 3) else a
         object.__setattr__(self, "levels", tuple(arrays[id(t)] for t in self.levels))
         object.__setattr__(self, "accept", frozenset(int(a) for a in self.accept))
         if self.kind not in KINDS:
@@ -356,20 +376,25 @@ MODE_KINDS = {
 def _advance(t: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The batch ``states`` after one level, on symbol 0 and on symbol 1.
 
-    This is the only code that applies a transition.  States are node
-    indices ``int[B]`` (deterministic), reachable-set rows ``bool[B, w_in]``
-    or vector rows ``float/complex[B, w_in]``; the result stacks the two
-    successor batches, of shape ``(2, B)`` or ``(2, B, w_out)``.
+    This is the only code that applies a transition to a batch.  States
+    are node indices ``int[B]`` (deterministic), reachable-set rows
+    ``bool[B, w_in]`` or vector rows ``float/complex[B, w_in]``; the result
+    stacks the two successor batches, of shape ``(2, B)`` or
+    ``(2, B, w_out)``.  Both come from one gather or one 2-D product over
+    the source-major rows of ``t``, whose columns run (symbol, target), so
+    each state's two images land side by side and ``_double``'s
+    interleave is a free reshape.
     """
     if t.ndim == 2:
-        # rows of the node-major view (see level_map): each state's two
-        # images land side by side, so _double's interleave is a free reshape
         return t.T.take(states, axis=0).T
+    rows = t.transpose(2, 0, 1).reshape(t.shape[2], -1)
     if t.dtype == bool:
         # the 0/1 product runs on BLAS in float32, exactly (the counts stay
         # far below 2**24); numpy's boolean matmul has no BLAS path
-        return states.astype(np.float32) @ t.transpose(0, 2, 1).astype(np.float32) > 0
-    return states @ t.transpose(0, 2, 1)
+        images = states.astype(np.float32) @ rows.astype(np.float32) > 0
+    else:
+        images = states @ rows
+    return images.reshape(len(states), 2, -1).swapaxes(0, 1)
 
 
 def _basis(kind: str, w: int) -> np.ndarray:
@@ -534,27 +559,81 @@ def validate_program(p: ObddProgram) -> ValidationReport:
 def parse_bits(bits: Bits, n: int | None = None) -> tuple[int, ...]:
     """Normalize '0101' / [0,1,0,1] to a tuple of ints, checking length."""
     if isinstance(bits, str):
-        if set(bits) - {"0", "1"}:
-            raise ValueError(f"input {bits!r} contains non-binary symbols")
-        vals = tuple(int(c) for c in bits)
+        try:
+            vals = tuple(map({"0": 0, "1": 1}.__getitem__, bits))
+        except KeyError:
+            raise ValueError(f"input {bits!r} contains non-binary symbols") from None
     else:
-        vals = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in vals):
+        vals = tuple(map(int, bits))
+        if not {0, 1}.issuperset(vals):
             raise ValueError("input bits must be 0 or 1")
     if n is not None and len(vals) != n:
         raise ValueError(f"input length {len(vals)} != n = {n}")
     return vals
 
 
-def _path(p: ObddProgram, bits: Bits) -> list[np.ndarray]:
-    """Batch-of-one states before and after every step on one input."""
+def _compile(kind: str, t: np.ndarray) -> tuple:
+    """One level in the form :func:`_walk` steps, per symbol: the successor
+    list (deterministic), the target bitmasks, bit ``u`` of ``masks[s]``
+    set iff node ``s`` may move to node ``u`` (nondeterministic), or the
+    ``(w_in, w_out)`` matrix that a state row multiplies (the vector
+    kinds)."""
+    if kind == "deterministic":
+        return tuple(t.tolist())
+    if kind == "nondeterministic":
+        packed = np.packbits(t.transpose(0, 2, 1), axis=2, bitorder="little")
+        return tuple([int.from_bytes(row.tobytes(), "little") for row in packed[sym]]
+                     for sym in (0, 1))
+    return (t[0].T, t[1].T)
+
+
+def _walk(p: ObddProgram, bits: Bits) -> list:
+    """States before and after every step on one input: node indices
+    (deterministic), reachable node sets as bitmasks (nondeterministic) or
+    state vectors (the vector kinds)."""
     p.require_valid()
     x = parse_bits(bits, p.n)
-    states = [_start(p)]
+    # programs are immutable, so each distinct level is compiled once
+    steps = getattr(p, "_walk_levels", None)
+    if steps is None:
+        compiled = {}
+        for t in p.levels:
+            if id(t) not in compiled:
+                compiled[id(t)] = _compile(p.kind, t)
+        steps = tuple(compiled[id(t)] for t in p.levels)
+        object.__setattr__(p, "_walk_levels", steps)
     # the symbol consumed at step j is the input bit at tested position perm[j-1]
-    for t, pos in zip(p.levels, p.order.perm):
-        states.append(_advance(t, states[-1])[x[pos]])
-    return states
+    symbols = [x[pos] for pos in p.order.perm]
+    if p.kind == "deterministic":
+        path = [p.initial]
+        for level, sym in zip(steps, symbols):
+            path.append(level[sym][path[-1]])
+    elif p.kind == "nondeterministic":
+        path = [1 << p.initial]
+        for level, sym in zip(steps, symbols):
+            masks, reach, image = level[sym], path[-1], 0
+            # the members of reach, lowest first, inline: a _members call
+            # per step about triples the cost of a narrow step
+            while reach:
+                low = reach & -reach
+                image |= masks[low.bit_length() - 1]
+                reach ^= low
+            path.append(image)
+    else:
+        path = [_basis(p.kind, p.widths[0])[p.initial]]
+        for level, sym in zip(steps, symbols):
+            path.append(path[-1] @ level[sym])
+    return path
+
+
+def _members(mask: int) -> list[int]:
+    """The nodes of a reachable-set bitmask, in increasing order."""
+    nodes = []
+    while mask:
+        low = mask & -mask
+        nodes.append(low.bit_length() - 1)
+        mask ^= low
+    return nodes
 
 
 def simulate(p: ObddProgram, bits: Bits) -> float:
@@ -565,7 +644,12 @@ def simulate(p: ObddProgram, bits: Bits) -> float:
     propagation, no floating point); the vector kinds return final mass on
     the accepting set.
     """
-    return float(_acceptance(p, _path(p, bits)[-1])[0])
+    final = _walk(p, bits)[-1]
+    if p.kind == "deterministic":
+        return float(final in p.accept)
+    if p.kind == "nondeterministic":
+        return float(any(final >> a & 1 for a in p.accept))
+    return float(_acceptance(p, final[None])[0])
 
 
 def state_trace(p: ObddProgram, bits: Bits) -> list[StateVector]:
@@ -573,15 +657,15 @@ def state_trace(p: ObddProgram, bits: Bits) -> list[StateVector]:
     if p.kind not in ("probabilistic", "quantum"):
         raise ValueError("state_trace applies to probabilistic/quantum programs")
     quantum = p.kind == "quantum"
-    return [StateVector(states[0], quantum) for states in _path(p, bits)]
+    return [StateVector(v, quantum) for v in _walk(p, bits)]
 
 
 def node_trace(p: ObddProgram, bits: Bits) -> list:
     """Per-level node (deterministic) or reachable node set (nondeterministic)."""
     if p.kind == "deterministic":
-        return [int(states[0]) for states in _path(p, bits)]
+        return _walk(p, bits)
     if p.kind == "nondeterministic":
-        return [frozenset(np.flatnonzero(states[0]).tolist()) for states in _path(p, bits)]
+        return [frozenset(_members(reach)) for reach in _walk(p, bits)]
     raise ValueError("node_trace applies to deterministic/nondeterministic programs")
 
 
@@ -728,7 +812,7 @@ def nobdd_to_obdd_subset(p: ObddProgram, *, subset_cap: int = 1 << 16) -> ObddPr
         order = np.argsort(first)
         number = np.empty_like(first)
         number[order] = np.arange(first.size)
-        # the numbers as (w, 2) rows, transposed: level_map's node-major array
+        # the numbers as (w, 2) rows, transposed: a source-major level
         level = number[inverse].reshape(-1, 2).T
         level.setflags(write=False)
         maps.append(level)
@@ -748,8 +832,9 @@ def nobdd_to_obdd_subset(p: ObddProgram, *, subset_cap: int = 1 << 16) -> ObddPr
 
 
 def _lift(t: np.ndarray, w_out: int) -> np.ndarray:
-    """The 0/1 column-stochastic matrices of a deterministic level."""
-    m = np.ascontiguousarray(np.eye(w_out)[t].transpose(0, 2, 1))
+    """The 0/1 column-stochastic matrices of a deterministic level, built
+    source-major: row ``s`` of ``eye[t.T]`` holds node ``s``'s two images."""
+    m = np.eye(w_out)[t.T].transpose(1, 2, 0)
     m.setflags(write=False)
     return m
 

@@ -35,6 +35,7 @@ from obddlab.constructions import (
     build_nobdd_noto_fingerprint,
     build_quantum_partialmod,
 )
+from obddlab.core import parse_bits
 from obddlab.functions import from_table, mod_count, not_o_prefix, partial_mod
 
 
@@ -226,6 +227,25 @@ def test_simulate_rejects_wrong_length_and_bad_symbols():
 def test_relation_targets_must_fit_the_target_width():
     with pytest.raises(ValueError):
         level_relation([[0, 2]], [[0]], 2)
+
+
+def test_parse_bits_reads_strings_and_sequences():
+    assert parse_bits("0110") == (0, 1, 1, 0)
+    assert parse_bits("", 0) == ()
+    assert parse_bits([0, 1, True, np.int64(1), 0.0, "1"], 6) == (0, 1, 1, 1, 0, 1)
+    assert parse_bits(np.array([1, 0], dtype=np.int8)) == (1, 0)
+    assert all(type(b) is int for b in parse_bits("01") + parse_bits(np.ones(2)))
+    with pytest.raises(ValueError, match=r"^input '01b1' contains non-binary symbols$"):
+        parse_bits("01b1")
+    with pytest.raises(ValueError, match=r"^input '0 1' contains non-binary symbols$"):
+        parse_bits("0 1", 3)
+    with pytest.raises(ValueError, match="^input bits must be 0 or 1$"):
+        parse_bits([0, 1, 2])
+    with pytest.raises(ValueError, match="^input bits must be 0 or 1$"):
+        parse_bits([-1])
+    for bits in ("010", [0, 1, 0]):
+        with pytest.raises(ValueError, match=r"^input length 3 != n = 4$"):
+            parse_bits(bits, 4)
 
 
 def test_simulate_refuses_invalid_program():
@@ -527,9 +547,14 @@ def test_bounded_error_mode_thresholds():
     assert not computes(p, always_one, AcceptanceMode.bounded_error(0.4)).ok
 
 
-@pytest.mark.parametrize("build", [lambda: build_det_mod(3, 10), lambda: build_det_eqs(4, 8)],
-                         ids=["stable", "layered"])
-def test_c_ordered_deterministic_levels_are_stored_node_major(build):
+@pytest.mark.parametrize("build", [
+    lambda: build_det_mod(3, 10),
+    lambda: build_det_eqs(4, 8),
+    lambda: build_nobdd_noto_fingerprint(4, 8),
+    lambda: lift_deterministic(build_det_mod(3, 10)),
+    lambda: build_quantum_partialmod(1, 8),
+], ids=["stable", "layered", "nondeterministic", "probabilistic", "quantum"])
+def test_c_ordered_levels_are_stored_source_major(build):
     p = build()
     # one C-ordered copy per distinct level object, as a hand-built
     # program would pass them
@@ -537,8 +562,11 @@ def test_c_ordered_deterministic_levels_are_stored_node_major(build):
     hand = ObddProgram(kind=p.kind, order=p.order, widths=p.widths,
                        levels=tuple(c_ordered[id(t)] for t in p.levels),
                        initial=p.initial, accept=p.accept, stable=p.stable)
-    assert all(t.flags.c_contiguous and t.ndim == 2 for t in c_ordered.values())
-    assert all(t.T.flags.c_contiguous for t in hand.levels)
+    assert all(t.flags.c_contiguous for t in c_ordered.values())
+    # the source axis (the last) outermost in memory, then the symbol axis,
+    # in the builders' arrays and in the converted copies alike
+    assert all(t.transpose(t.ndim - 1, *range(t.ndim - 1)).flags.c_contiguous
+               for t in p.levels + hand.levels)
     for a, b in zip(hand.levels, p.levels):
         assert np.array_equal(a, b)
     # a level object shared in the input stays shared
@@ -548,4 +576,4 @@ def test_c_ordered_deterministic_levels_are_stored_node_major(build):
 
     assert sharing(hand.levels) == sharing(p.levels)
     assert validate_program(hand).ok
-    assert np.array_equal(acceptance_table(hand), acceptance_table(p))
+    np.testing.assert_allclose(acceptance_table(hand), acceptance_table(p), rtol=0, atol=1e-12)

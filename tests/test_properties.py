@@ -3,6 +3,7 @@ import importlib.util
 import io
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from obddlab import (
     lift_deterministic,
     natural_order,
     nobdd_to_obdd_subset,
+    node_trace,
     program_width,
     programs_structurally_equal,
     simulate,
@@ -211,6 +213,39 @@ def test_documents_survive_a_decode_encode_round_trip(p):
     assert len({id(t) for t in q.levels}) == len(set(contents))
 
 
+def kernel_path(p, bits):
+    """Batch-of-one states before and after every step on one input,
+    through the batch kernel ``core._advance``."""
+    states = [core._start(p)]
+    for t, pos in zip(p.levels, p.order.perm):
+        states.append(core._advance(t, states[-1])[int(bits[pos])])
+    return states
+
+
+def assert_walk_matches_kernel(p):
+    """The single-input walk against the batch kernel on every input:
+    ``simulate`` against ``acceptance_table`` (exactly for the classical
+    kinds) and the traces against the kernel's states at every level."""
+    table = acceptance_table(p)
+    classical = p.kind in ("deterministic", "nondeterministic")
+    for i, bits in enumerate(all_inputs(p.n)):
+        if classical:
+            assert simulate(p, bits) == table[i]
+        else:
+            assert simulate(p, bits) == pytest.approx(table[i], abs=1e-12)
+        states = kernel_path(p, bits)
+        if p.kind == "deterministic":
+            assert node_trace(p, bits) == [int(s[0]) for s in states]
+        elif p.kind == "nondeterministic":
+            assert node_trace(p, bits) == [frozenset(np.flatnonzero(s[0]).tolist())
+                                           for s in states]
+        else:
+            trace = state_trace(p, bits)
+            assert len(trace) == len(states)
+            for sv, s in zip(trace, states):
+                np.testing.assert_allclose(sv.entries, s[0], rtol=0, atol=1e-12)
+
+
 @given(st.sampled_from(KINDS).flatmap(programs))
 @settings(max_examples=120, deadline=None)
 def test_simulate_acceptance_table_and_reference_agree(p):
@@ -221,6 +256,59 @@ def test_simulate_acceptance_table_and_reference_agree(p):
         want = reference_acceptance(p, bits)
         assert simulate(p, bits) == pytest.approx(want, abs=1e-12)
         assert table[i] == pytest.approx(want, abs=1e-12)
+    assert_walk_matches_kernel(p)
+    # with no accepting node, the walk still has to agree on every state
+    empty = ObddProgram(kind=p.kind, order=p.order, widths=p.widths, levels=p.levels,
+                        initial=p.initial, accept=frozenset())
+    assert not acceptance_table(empty).any()
+    assert_walk_matches_kernel(empty)
+
+
+@st.composite
+def wide_nobdds(draw):
+    """Nondeterministic programs with ragged widths of 60..140 under a
+    random order, so that reachable-set bitmasks span several machine
+    words; each node moves to a few random targets per symbol."""
+    n = draw(st.integers(1, 4))
+    widths = [draw(st.integers(60, 140)) for _ in range(n + 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = [level_relation(*([rng.choice(w_out, size=rng.integers(0, 4), replace=False)
+                                .tolist() for _ in range(w_in)] for _ in range(2)), w_out)
+              for w_in, w_out in zip(widths, widths[1:])]
+    accept = rng.choice(widths[-1], size=draw(st.integers(0, 8)), replace=False)
+    return ObddProgram(
+        kind="nondeterministic", order=VariableOrder(n, draw(st.permutations(range(n)))),
+        widths=tuple(widths), levels=tuple(levels),
+        initial=draw(st.integers(0, widths[0] - 1)), accept=frozenset(accept.tolist()),
+    )
+
+
+@given(wide_nobdds())
+@settings(max_examples=40, deadline=None)
+def test_walk_matches_the_batch_kernel_past_one_machine_word(p):
+    assert_walk_matches_kernel(p)
+
+
+@given(st.sampled_from(KINDS).flatmap(programs), st.data())
+@settings(max_examples=60, deadline=None)
+def test_walk_refuses_invalid_programs_and_bad_bits(p, data):
+    traces = [simulate, state_trace if p.kind in ("probabilistic", "quantum") else node_trace]
+    broken = ObddProgram(kind=p.kind, order=p.order, widths=p.widths, levels=p.levels,
+                         initial=p.widths[0], accept=p.accept)
+    message = f"initial node {p.widths[0]} outside 0..{p.widths[0] - 1}"
+    assert validate_program(broken).violations == (message,)
+    bits = "".join(data.draw(st.sampled_from("01")) for _ in range(p.n))
+    for run in traces:
+        with pytest.raises(InvalidProgramError, match=f"^{message}$"):
+            run(broken, bits)
+        with pytest.raises(ValueError, match=f"^input length {p.n + 1} != n = {p.n}$"):
+            run(p, bits + "0")
+        with pytest.raises(ValueError, match="^input bits must be 0 or 1$"):
+            run(p, [int(b) for b in bits[:-1]] + [2])
+        bad = bits[:-1] + data.draw(st.sampled_from("2x -"))
+        with pytest.raises(ValueError, match=f"^input {re.escape(repr(bad))} contains "
+                                             "non-binary symbols$"):
+            run(p, bad)
 
 
 @given(programs("deterministic", min_n=2), st.data())
