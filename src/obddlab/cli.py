@@ -37,12 +37,12 @@ from .reports import REPORT_TASKS, run_report
 from .serialize import decode_program, encode_program
 
 _BUILDERS = {
-    ("partialmod", "quantum"): lambda k, n: cons.build_quantum_partialmod(k, n),
-    ("partialmod", "deterministic"): lambda k, n: cons.build_det_partialmod(k, n),
-    ("mod", "deterministic"): lambda k, n: cons.build_det_mod(k, n),
-    ("notok", "nondeterministic"): lambda k, n: cons.build_nobdd_noto_fingerprint(k, n),
-    ("eqs", "deterministic"): lambda k, n: cons.build_det_eqs(k, n),
-    ("noteqs", "nondeterministic"): lambda k, n: cons.build_nobdd_noteqs_fingerprint(k, n),
+    ("partialmod", "quantum"): cons.build_quantum_partialmod,
+    ("partialmod", "deterministic"): cons.build_det_partialmod,
+    ("mod", "deterministic"): cons.build_det_mod,
+    ("notok", "nondeterministic"): cons.build_nobdd_noto_fingerprint,
+    ("eqs", "deterministic"): cons.build_det_eqs,
+    ("noteqs", "nondeterministic"): cons.build_nobdd_noteqs_fingerprint,
     ("notpal", "deterministic"): lambda k, n: cons.build_det_notpal(n),
     ("noto", "quantum"): lambda k, n: cons.build_quantum_nondet_noto(n),
 }

@@ -29,7 +29,8 @@ Nodes are numbered ``0..w[j]-1`` within each level.  Matrices act as
 
 Every level array is stored source-major: its source axis (the last) is
 outermost in memory, then the symbol axis, so that the transitions of a
-node on both symbols lie side by side.
+node on both symbols lie side by side.  It is also read-only: a program
+copies a writeable array it is given once, so the caller cannot change it.
 
 One kernel for batches, one walk for single inputs.  The private kernel
 :func:`_advance` moves a batch of states through one level on both
@@ -60,6 +61,7 @@ of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -165,12 +167,15 @@ def pairing_order(n: int) -> VariableOrder:
 
 
 def _source_major(t: np.ndarray) -> np.ndarray:
-    """``t``, or a read-only copy of it whose source axis (the last) is
-    outermost in memory and its symbol axis next (module docstring)."""
+    """``t`` if it is read-only and source-major, else a read-only copy of
+    it whose source axis (the last) is outermost in memory and its symbol
+    axis next (module docstring).  A writeable array is always copied, so
+    that a caller who keeps writing to it cannot change a program.  A
+    read-only view of an array the caller still writes is taken as is."""
     front = t.transpose(t.ndim - 1, *range(t.ndim - 1))
-    if front.flags.c_contiguous:
+    if front.flags.c_contiguous and not t.flags.writeable:
         return t
-    a = np.ascontiguousarray(front).transpose(*range(1, t.ndim), 0)
+    a = front.copy().transpose(*range(1, t.ndim), 0)
     a.setflags(write=False)
     return a
 
@@ -179,9 +184,9 @@ def _pair(on0, on1, dtype) -> np.ndarray:
     a, b = np.asarray(on0, dtype=dtype), np.asarray(on1, dtype=dtype)
     if a.shape != b.shape:
         raise ValueError(f"symbol transitions disagree in shape: {a.shape} vs {b.shape}")
-    t = _source_major(np.stack([a, b]))
-    t.setflags(write=False)
-    return t
+    t = np.stack([a, b])
+    t.setflags(write=False)  # no caller holds it, so no copy is needed
+    return _source_major(t)
 
 
 def level_map(on0: Iterable[int], on1: Iterable[int]) -> np.ndarray:
@@ -254,8 +259,9 @@ class ObddProgram:
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         # levels are kept source-major (module docstring), which the
-        # kernel reads without a copy; each distinct object is converted
-        # once, so a stable program still repeats one array
+        # kernel reads without a copy, and read-only, so that the memos
+        # below stay true; each distinct object is converted once, so a
+        # stable program still repeats one array
         arrays = {}
         for t in self.levels:
             if id(t) not in arrays:
@@ -274,14 +280,24 @@ class ObddProgram:
         """Transition array applied at step ``j`` (1-based)."""
         return self.levels[j - 1]
 
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        # programs are immutable, so the verdict is computed once
+        return validate_program(self)
+
+    @cached_property
+    def _walk_levels(self) -> tuple:
+        """The levels in the form :func:`_walk` steps, each distinct level
+        object compiled once (:func:`_compile`)."""
+        compiled = {}
+        for t in self.levels:
+            if id(t) not in compiled:
+                compiled[id(t)] = _compile(self.kind, t)
+        return tuple(compiled[id(t)] for t in self.levels)
+
     def require_valid(self) -> None:
-        # programs are immutable, so the validation verdict is memoized
-        report = getattr(self, "_validation", None)
-        if report is None:
-            report = validate_program(self)
-            object.__setattr__(self, "_validation", report)
-        if not report.ok:
-            raise InvalidProgramError("; ".join(report.violations))
+        if not self._validation.ok:
+            raise InvalidProgramError("; ".join(self._validation.violations))
 
 
 @dataclass(frozen=True)
@@ -593,15 +609,7 @@ def _walk(p: ObddProgram, bits: Bits) -> list:
     state vectors (the vector kinds)."""
     p.require_valid()
     x = parse_bits(bits, p.n)
-    # programs are immutable, so each distinct level is compiled once
-    steps = getattr(p, "_walk_levels", None)
-    if steps is None:
-        compiled = {}
-        for t in p.levels:
-            if id(t) not in compiled:
-                compiled[id(t)] = _compile(p.kind, t)
-        steps = tuple(compiled[id(t)] for t in p.levels)
-        object.__setattr__(p, "_walk_levels", steps)
+    steps = p._walk_levels
     # the symbol consumed at step j is the input bit at tested position perm[j-1]
     symbols = [x[pos] for pos in p.order.perm]
     if p.kind == "deterministic":
@@ -742,9 +750,15 @@ class ProgramWidths:
     counting only nodes reachable from the initial node."""
 
     per_level: tuple[int, ...]
-    max_width: int
     reachable_per_level: tuple[int, ...] | None = None
-    reachable_max: int | None = None
+
+    @property
+    def max_width(self) -> int:
+        return max(self.per_level)
+
+    @property
+    def reachable_max(self) -> int | None:
+        return max(self.reachable_per_level) if self.reachable_per_level else None
 
 
 def program_width(p: ObddProgram) -> ProgramWidths:
@@ -755,7 +769,6 @@ def program_width(p: ObddProgram) -> ProgramWidths:
     whether the source level counts.
     """
     p.require_valid()
-    per_level = p.widths
     reach_counts = None
     if p.kind in ("deterministic", "nondeterministic"):
         reach = _start(p)
@@ -769,12 +782,7 @@ def program_width(p: ObddProgram) -> ProgramWidths:
                 reach = images.any(axis=(0, 1))[None]   # one reachable-set row
                 counts.append(int(reach.sum()))
         reach_counts = tuple(counts)
-    return ProgramWidths(
-        per_level=per_level,
-        max_width=max(per_level),
-        reachable_per_level=reach_counts,
-        reachable_max=max(reach_counts) if reach_counts else None,
-    )
+    return ProgramWidths(per_level=p.widths, reachable_per_level=reach_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -874,10 +882,8 @@ def stable_symbol_chain(p: ObddProgram, symbol: int) -> np.ndarray:
     if p.kind not in ("deterministic", "probabilistic"):
         raise ValueError(f"symbol chain is defined for classical chains, not {p.kind}")
     p.require_valid()
-    w = p.widths[0]
-    t = p.levels[0] if p.kind == "probabilistic" else _lift(p.levels[0], w)
-    # column s of the chain is the image of node s
-    return np.ascontiguousarray(_advance(t, np.eye(w))[symbol].T)
+    t = p.levels[0] if p.kind == "probabilistic" else _lift(p.levels[0], p.widths[0])
+    return t[symbol].copy()
 
 
 def programs_structurally_equal(a: ObddProgram, b: ObddProgram) -> bool:

@@ -34,6 +34,7 @@ iff ``alpha == beta``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, IO, Iterable, Sequence
 
 import numpy as np
@@ -112,12 +113,13 @@ class FunctionSpec:
         Index ``i`` is the input whose first bit is the most significant
         bit of ``i``.  The table is built once and cached.
         """
-        cached = getattr(self, "_table", None)
-        if cached is None:
-            cached = self._build_table()
-            cached.setflags(write=False)
-            object.__setattr__(self, "_table", cached)
-        return cached
+        return self._table
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        table = self._build_table()
+        table.setflags(write=False)
+        return table
 
     def count_profile(self) -> dict[int, int | None] | None:
         """Outcome per count class for the counting families, else None.

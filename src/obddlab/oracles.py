@@ -14,7 +14,9 @@ successor maps.  It runs over the ``2**n`` prefixes of the ordered truth
 table, or, for the families with a count profile, over the at most
 ``n + 1`` counts of ones a prefix can have, with no table: the same
 classes, numbered alike, in ``O(n**2)``.  The first four oracles read its
-output, and their reports' ``method`` says which of the two ran.
+output, and their reports' ``method`` says which of the two ran; the
+distinguishability bound runs the same loop once more, over the classes,
+to rank their sets of undefined suffixes.
 
 * :func:`subfunction_widths` -- exact minimal width per level for a *total*
   function: the class count (the quotient argument).
@@ -34,6 +36,10 @@ output, and their reports' ``method`` says which of the two ran.
   order, a bottleneck path over the ``2**n`` variable subsets for a total
   table (``n <= 14``), and the per-order partition search for any other
   partial table (``n <= 8``).
+
+The size caps are module constants (``_SUBFUNCTION_N_CAP`` and its
+neighbours), since a cap moves only with bench evidence; the one keyword
+left is the partition search's ``class_cap``.
 
 Partition-sequence search
 -------------------------
@@ -115,6 +121,17 @@ __all__ = [
     "min_width_over_orders",
 ]
 
+# feasibility caps (module docstring)
+_SUBFUNCTION_N_CAP = 22
+_DISTINGUISH_N_CAP = 20
+_PARTIAL_N_CAP = 12
+_STABLE_N_CAP = 16
+_STABLE_WIDTH_CAP = {"deterministic": 4, "nondeterministic": 3}
+_ORDER_N_CAP = 14
+#: a partial table that is not symmetric gets one partition search per
+#: order; at n = 8 those 40,320 searches already take tens of seconds
+_PERMUTATION_CAP = 8
+
 
 @dataclass(frozen=True)
 class PrefixClass:
@@ -139,7 +156,6 @@ class WidthReport:
     """
 
     per_level: tuple[int, ...]
-    max_width: int
     kind: str
     method: str
     order: tuple[int, ...] | None = None
@@ -147,8 +163,10 @@ class WidthReport:
     def __post_init__(self):
         if self.kind not in ("exact", "lower_bound", "construction"):
             raise ValueError(f"unknown report kind {self.kind!r}")
-        if self.max_width != max(self.per_level):
-            raise ValueError("max_width must equal max(per_level)")
+
+    @property
+    def max_width(self) -> int:
+        return max(self.per_level)
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +268,41 @@ class _Classes:
     * ``counts[j]`` -- number of classes at level ``j``;
     * ``succ[j] = (s0, s1)`` -- class of each class's 0- and 1-extension;
     * ``leaf[c]`` -- the code {0, 1, STAR} of level-``n`` class ``c``;
-    * ``builder`` -- which of the two builders below ran.
+    * ``builder`` -- which builder ran.
 
-    One ranking loop (:meth:`_rank`) serves two builders.  It takes the
-    leaf codes of the level-``n`` representatives and a rule that splits
-    each level-``j`` representative into its 0- and 1-extension at level
-    ``j + 1``, and classes the representative by the pair of their classes.
-    ``_Classes(table)`` takes an ordered truth table, whose representatives
-    are the prefixes (bits in test order, read as a number): ``p`` splits
-    into ``2p`` and ``2p + 1``.  :meth:`from_profile` takes a count profile
-    and needs no table.
+    The constructor is the one ranking loop.  It takes the leaf codes of
+    the level-``n`` representatives and a rule ``split(j, below)`` that
+    gives, from the ids ``below`` of level ``j + 1``, the ids of each
+    level-``j`` representative's 0- and 1-extension, and classes the
+    representative by that pair.  Its builders pass only their rule:
+    :meth:`from_table` takes an ordered truth table, whose representatives
+    are the prefixes (bits in test order, read as a number), so ``p``
+    splits into ``2p`` and ``2p + 1``; :meth:`from_profile` takes a count
+    profile and needs no table; :meth:`star_group_maxima` ranks the
+    undefined-leaf pattern over the classes themselves.
 
     Class ids follow the sorted order of the rows: all rows of one level
     have the same length, so once a level's ids follow row order, so does
     the order of the pairs ranked one level up.
     """
 
-    def __init__(self, table: np.ndarray):
-        self.builder = "built from the truth table"
-        self._rank(table, table.size.bit_length() - 1,
-                   lambda j, below: (below[0::2], below[1::2]))
+    def __init__(self, codes: np.ndarray, n: int, split, builder: str):
+        self.n, self.builder = n, builder
+        self.leaf, leaf_ids = _leaf_ids(codes)
+        self.ids = [None] * n + [leaf_ids]
+        self._pairs = [None] * n
+        k = self.leaf.size
+        for j in range(n - 1, -1, -1):
+            self._pairs[j], self.ids[j] = _pair_ranks(*split(j, self.ids[j + 1]), k)
+            k = self._pairs[j].size
+        self.counts = [pairs.size for pairs in self._pairs] + [self.leaf.size]
+        self._clash: list[tuple[np.ndarray, list[int]] | None] = [None] * (n + 1)
+
+    @classmethod
+    def from_table(cls, table: np.ndarray) -> _Classes:
+        """The classes of an ordered truth table."""
+        return cls(table, table.size.bit_length() - 1,
+                   lambda j, below: (below[0::2], below[1::2]), "built from the truth table")
 
     @classmethod
     def from_profile(cls, codes: np.ndarray, counted: list[bool]) -> _Classes:
@@ -293,23 +326,9 @@ class _Classes:
         Hence ``counts``, ``succ``, ``leaf``, the clash rows and the
         star-group maxima agree; only ``ids`` is indexed differently.
         """
-        classes = cls.__new__(cls)
-        classes.builder = "built from the count profile"
-        classes._rank(codes, len(counted),
-                      lambda j, below: (below[:-1], below[1:]) if counted[j] else (below, below))
-        return classes
-
-    def _rank(self, codes: np.ndarray, n: int, split):
-        self.n = n
-        self.leaf, leaf_ids = _leaf_ids(codes)
-        self.ids = [None] * n + [leaf_ids]
-        self._pairs = [None] * n
-        k = self.leaf.size
-        for j in range(n - 1, -1, -1):
-            self._pairs[j], self.ids[j] = _pair_ranks(*split(j, self.ids[j + 1]), k)
-            k = self._pairs[j].size
-        self.counts = [pairs.size for pairs in self._pairs] + [self.leaf.size]
-        self._clash: list[tuple[np.ndarray, list[int]] | None] = [None] * (n + 1)
+        return cls(codes, len(counted),
+                   lambda j, below: (below[:-1], below[1:]) if counted[j] else (below, below),
+                   "built from the count profile")
 
     @cached_property
     def succ(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -318,19 +337,18 @@ class _Classes:
 
     def star_group_maxima(self) -> list[int]:
         """Per level, the most classes that share one set of undefined
-        suffixes.  Those sets are ranked like the classes, over classes
-        instead of prefixes, from the undefined leaf code up.  With no
+        suffixes.  Those sets are ranked like the classes, by the same
+        loop over the classes instead of prefixes: from the undefined leaf
+        code up, a class splits into its two successors.  With no
         undefined leaf every row's set is empty, so each level is one
         group and the maxima are the counts."""
         if STAR not in self.leaf:
             return list(self.counts)
-        group, k = (self.leaf == STAR).astype(np.int64), 2
-        maxima = [int(np.bincount(group).max())]
-        for s0, s1 in reversed(self.succ):
-            pairs, group = _pair_ranks(group[s0], group[s1], k)
-            k = pairs.size
-            maxima.append(int(np.bincount(group).max()))
-        return maxima[::-1]
+        succ = self.succ
+        groups = _Classes((self.leaf == STAR).astype(np.int8), self.n,
+                          lambda j, below: (below[succ[j][0]], below[succ[j][1]]),
+                          "star groups of the classes")
+        return [int(np.bincount(ids).max()) for ids in groups.ids]
 
     def clash(self, j: int) -> list[int]:
         """Bit ``b`` of entry ``a``: the rows of classes ``a`` and ``b`` at
@@ -365,7 +383,7 @@ def _classes(f: FunctionSpec, order: VariableOrder | None) -> tuple[_Classes, Va
     order = _checked_order(f, order)
     profile = f.count_profile()
     if profile is None:
-        return _Classes(cube_transpose(f.truth_table(), order.perm)), order
+        return _Classes.from_table(cube_transpose(f.truth_table(), order.perm)), order
     codes = _profile_codes(profile.values())
     return _Classes.from_profile(codes, [v < codes.size - 1 for v in order.perm]), order
 
@@ -378,7 +396,7 @@ def prefix_classes(f: FunctionSpec, order: VariableOrder | None, level: int) -> 
     if not 0 <= level <= n:
         raise ValueError(f"level must be in 0..{n}")
     rows = table.reshape(1 << level, -1)
-    _, first = np.unique(_Classes(table).ids[level], return_index=True)
+    _, first = np.unique(_Classes.from_table(table).ids[level], return_index=True)
     return [
         PrefixClass(level, format(int(i), f"0{level}b") if level else "", rows[i])
         for i in first
@@ -389,21 +407,19 @@ def prefix_classes(f: FunctionSpec, order: VariableOrder | None, level: int) -> 
 # exact oracle for total functions
 # ---------------------------------------------------------------------------
 
-def subfunction_widths(f: FunctionSpec, order: VariableOrder | None = None,
-                       *, n_cap: int = 22) -> WidthReport:
+def subfunction_widths(f: FunctionSpec, order: VariableOrder | None = None) -> WidthReport:
     """Exact minimal OBDD width of a total function under one order.
 
     Level ``j`` needs exactly as many nodes as there are distinct
     subfunctions induced by length-``j`` prefixes, and that many suffice.
     """
-    if f.n > n_cap:
-        raise CapExceededError(f"subfunction oracle needs n <= {n_cap}, got {f.n}")
+    if f.n > _SUBFUNCTION_N_CAP:
+        raise CapExceededError(f"subfunction oracle needs n <= {_SUBFUNCTION_N_CAP}, got {f.n}")
     classes, order = _classes(f, order)
     if STAR in classes.leaf:
         raise ValueError(f"{f.name} is partial; use partial_min_width_exact")
     return WidthReport(
         per_level=tuple(classes.counts),
-        max_width=max(classes.counts),
         kind="exact",
         method=f"distinct subfunctions per level, classes {classes.builder}",
         order=order.perm,
@@ -414,8 +430,8 @@ def subfunction_widths(f: FunctionSpec, order: VariableOrder | None = None,
 # lower bound for partial functions
 # ---------------------------------------------------------------------------
 
-def distinguishability_lower_bound(f: FunctionSpec, order: VariableOrder | None = None,
-                                   *, n_cap: int = 20) -> WidthReport:
+def distinguishability_lower_bound(f: FunctionSpec,
+                                   order: VariableOrder | None = None) -> WidthReport:
     """Largest pairwise comparable-and-nonequivalent class set per level.
 
     Comparability (equal sets of defined suffixes) is an equivalence on
@@ -424,13 +440,12 @@ def distinguishability_lower_bound(f: FunctionSpec, order: VariableOrder | None 
     clique of nonequivalent classes and the exact maximum clique is simply
     the largest group.
     """
-    if f.n > n_cap:
-        raise CapExceededError(f"distinguishability oracle needs n <= {n_cap}, got {f.n}")
+    if f.n > _DISTINGUISH_N_CAP:
+        raise CapExceededError(
+            f"distinguishability oracle needs n <= {_DISTINGUISH_N_CAP}, got {f.n}")
     classes, order = _classes(f, order)
-    per_level = classes.star_group_maxima()
     return WidthReport(
-        per_level=tuple(per_level),
-        max_width=max(per_level),
+        per_level=tuple(classes.star_group_maxima()),
         kind="lower_bound",
         method=f"max set of pairwise comparable nonequivalent prefix classes, {classes.builder}",
         order=order.perm,
@@ -552,7 +567,7 @@ def _singletons(levels: _Classes):
 
 
 def partial_min_width_exact(f: FunctionSpec, order: VariableOrder | None = None,
-                            *, class_cap: int = 12, n_cap: int = 12) -> WidthReport:
+                            *, class_cap: int = 12) -> WidthReport:
     """Minimal OBDD width of a (possibly partial) function.
 
     Searches partition sequences of prefix behavior classes (module
@@ -563,24 +578,22 @@ def partial_min_width_exact(f: FunctionSpec, order: VariableOrder | None = None,
     report still says ``kind="exact"``.  ``class_cap`` bounds the class
     count at levels where the search has to branch over merges.
     """
-    report, _ = _partial_min_width_witness(f, order, class_cap=class_cap, n_cap=n_cap)
+    report, _ = _partial_min_width_witness(f, order, class_cap)
     return report
 
 
-def _partial_min_width_witness(f, order, *, class_cap: int, n_cap: int):
-    if f.n > n_cap:
-        raise CapExceededError(f"partial oracle needs n <= {n_cap}, got {f.n}")
+def _partial_min_width_witness(f, order, class_cap: int):
+    if f.n > _PARTIAL_N_CAP:
+        raise CapExceededError(f"partial oracle needs n <= {_PARTIAL_N_CAP}, got {f.n}")
     levels, order = _classes(f, order)
     lower = max(levels.star_group_maxima())
     upper = max(levels.counts)
     for w in range(lower, upper + 1):
         witness = _singletons(levels) if w == upper else _search(levels, w, class_cap)
         if witness is not None:
-            per_level = tuple(len(p) for p in witness)
             return (
                 WidthReport(
-                    per_level=per_level,
-                    max_width=max(per_level),
+                    per_level=tuple(len(p) for p in witness),
                     kind="exact",
                     method=f"partition-sequence search over prefix classes, {levels.builder}",
                     order=order.perm,
@@ -591,12 +604,10 @@ def _partial_min_width_witness(f, order, *, class_cap: int, n_cap: int):
 
 
 def minimal_obdd(f: FunctionSpec, order: VariableOrder | None = None,
-                 *, class_cap: int = 12, n_cap: int = 12) -> ObddProgram:
+                 *, class_cap: int = 12) -> ObddProgram:
     """A deterministic program of the width :func:`partial_min_width_exact`
     reports, built from the witness partition sequence of its search."""
-    _, (levels, witness, order) = _partial_min_width_witness(
-        f, order, class_cap=class_cap, n_cap=n_cap
-    )
+    _, (levels, witness, order) = _partial_min_width_witness(f, order, class_cap)
     block_of = [{c: b for b, block in enumerate(partition) for c in block}
                 for partition in witness]
     maps = [
@@ -627,9 +638,7 @@ def minimal_obdd(f: FunctionSpec, order: VariableOrder | None = None,
 _SEARCH_STATES = 1 << 18
 
 
-def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str,
-                             *, det_cap: int = 4, nondet_cap: int = 3,
-                             n_cap: int = 16) -> ObddProgram | None:
+def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str) -> ObddProgram | None:
     """Search all stable ID programs of the given width for one computing f.
 
     Enumerates every transition pair (``w**(2w)`` deterministic maps or
@@ -645,16 +654,15 @@ def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str,
     nodes some 1-input reaches and no 0-input reaches, or None.
     """
     n = f.n
-    if n > n_cap:
-        raise CapExceededError(f"stable search needs n <= {n_cap}, got {n}")
-    caps = {"deterministic": det_cap, "nondeterministic": nondet_cap}
-    if kind not in caps:
+    if n > _STABLE_N_CAP:
+        raise CapExceededError(f"stable search needs n <= {_STABLE_N_CAP}, got {n}")
+    if kind not in _STABLE_WIDTH_CAP:
         raise ValueError(f"search supports classical kinds, not {kind!r}")
     w = width
     if w < 1:
         raise ValueError("width must be >= 1")
-    if w > caps[kind]:
-        raise CapExceededError(f"{kind} search capped at width {caps[kind]}")
+    if w > _STABLE_WIDTH_CAP[kind]:
+        raise CapExceededError(f"{kind} search capped at width {_STABLE_WIDTH_CAP[kind]}")
     table = f.truth_table()
     yes, no = table == 1, table == 0
     count = w ** (2 * w) if kind == "deterministic" else 1 << (2 * w * w)
@@ -740,11 +748,6 @@ def _stable_program(kind: str, w: int, n: int, p: int, accept: np.ndarray) -> Ob
 # minimum over variable orders
 # ---------------------------------------------------------------------------
 
-#: a partial table that is not symmetric gets one partition search per
-#: order; at n = 8 those 40,320 searches already take tens of seconds
-_PERMUTATION_CAP = 8
-
-
 def _symmetric(table: np.ndarray, n: int) -> bool:
     """Whether the table is invariant under every permutation of its
     variables: the transposition (0 1) and the cycle (0 1 ... n-1) generate
@@ -802,9 +805,8 @@ def _subset_search(table: np.ndarray, n: int) -> tuple[list[int], list[int]]:
     return per_level, order
 
 
-def min_width_over_orders(f: FunctionSpec, *, n_cap: int = 14,
-                          class_cap: int = 12) -> WidthReport:
-    """Minimum exact width over all n! variable orders (n <= ``n_cap``).
+def min_width_over_orders(f: FunctionSpec) -> WidthReport:
+    """Minimum exact width over all n! variable orders (n <= ``_ORDER_N_CAP``).
 
     The table picks one of three paths, and ``method`` names it:
 
@@ -823,12 +825,12 @@ def min_width_over_orders(f: FunctionSpec, *, n_cap: int = 14,
     with its per-level widths.
     """
     n = f.n
-    if n > n_cap:
-        raise CapExceededError(f"order search needs n <= {n_cap}, got {n}")
+    if n > _ORDER_N_CAP:
+        raise CapExceededError(f"order search needs n <= {_ORDER_N_CAP}, got {n}")
     table = f.truth_table()
     total = STAR not in table
     if _symmetric(table, n):
-        at = subfunction_widths(f) if total else partial_min_width_exact(f, class_cap=class_cap)
+        at = subfunction_widths(f) if total else partial_min_width_exact(f)
         per_level, order = at.per_level, at.order
         method = "one exact oracle call: the table is invariant under every order"
     elif total:
@@ -839,14 +841,13 @@ def min_width_over_orders(f: FunctionSpec, *, n_cap: int = 14,
             raise CapExceededError(
                 f"order search on a partial table that is not symmetric tries all n! "
                 f"orders and needs n <= {_PERMUTATION_CAP}, got {n}")
-        at = min((partial_min_width_exact(f, VariableOrder(n, perm), class_cap=class_cap)
+        at = min((partial_min_width_exact(f, VariableOrder(n, perm))
                   for perm in itertools.permutations(range(n))),
                  key=lambda report: report.max_width)  # the first of least width
         per_level, order = at.per_level, at.order
         method = f"minimum of the per-order partition search over all {n}! orders"
     return WidthReport(
         per_level=tuple(per_level),
-        max_width=max(per_level),
         kind="exact",
         method=method,
         order=tuple(order),

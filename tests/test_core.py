@@ -508,11 +508,12 @@ def test_deterministic_acceptance_agrees_with_a_walk_of_the_maps(accept):
 # ---------------------------------------------------------------------------
 
 def test_stable_symbol_chain_of_counter_is_cyclic_shift():
-    p = build_det_partialmod(1, 8)
-    m1 = stable_symbol_chain(p, 1)
-    expected = np.roll(np.eye(4), 1, axis=0)
-    assert np.array_equal(m1, expected)
-    assert np.array_equal(stable_symbol_chain(p, 0), np.eye(4))
+    det = build_det_partialmod(1, 8)
+    for p in (det, lift_deterministic(det)):
+        m1 = stable_symbol_chain(p, 1)
+        expected = np.roll(np.eye(4), 1, axis=0)
+        assert np.array_equal(m1, expected)
+        assert np.array_equal(stable_symbol_chain(p, 0), np.eye(4))
 
 
 def test_stable_symbol_chain_requires_stable_classical_program():
@@ -577,3 +578,22 @@ def test_c_ordered_levels_are_stored_source_major(build):
     assert sharing(hand.levels) == sharing(p.levels)
     assert validate_program(hand).ok
     np.testing.assert_allclose(acceptance_table(hand), acceptance_table(p), rtol=0, atol=1e-12)
+
+
+def test_a_program_owns_its_level_arrays():
+    # a Fortran-ordered int[2, w] is already source-major, and the caller
+    # can still write to it after the memos below are filled
+    t = np.asfortranarray([[0, 1], [1, 0]])
+    p = ObddProgram(kind="deterministic", order=natural_order(4), widths=(2,) * 5,
+                    levels=(t,) * 4, initial=0, accept=frozenset({0}), stable=True)
+    assert simulate(p, "1100") == 1.0
+    assert not p.levels[0].flags.writeable
+    t[1, 1] = 1
+    assert simulate(p, "1100") == acceptance_table(p)[0b1100] == 1.0
+    t[1, 1] = 5  # out of range, after validation passed
+    assert computes(p, mod_count(2, 4), AcceptanceMode.deterministic()).ok
+    # read-only source-major levels, as the builders make them, are kept
+    built = build_det_eqs(4, 8)
+    again = ObddProgram(kind=built.kind, order=built.order, widths=built.widths,
+                        levels=built.levels, initial=built.initial, accept=built.accept)
+    assert all(a is b for a, b in zip(again.levels, built.levels))

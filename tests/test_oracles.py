@@ -1,5 +1,4 @@
 import importlib.util
-import inspect
 import itertools
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from obddlab.constructions import (
     build_det_partialmod,
 )
 from obddlab.functions import (
+    FunctionSpec,
     eqs,
     from_table,
     mod_count,
@@ -209,6 +209,31 @@ def test_stable_search_rejects_widths_below_1(width, kind):
         stable_exhaustive_search(partial_mod(1, 4), width, kind)
 
 
+def _untabled(n):
+    """A function on ``n`` bits whose truth table may not be built."""
+    def refuse():
+        raise AssertionError("the truth table was built")
+    return FunctionSpec("untabled", n, None, None, lambda x: 0, refuse)
+
+
+@pytest.mark.parametrize("cap, call", [
+    (oracles._SUBFUNCTION_N_CAP, lambda n: subfunction_widths(_untabled(n))),
+    (oracles._DISTINGUISH_N_CAP, lambda n: distinguishability_lower_bound(_untabled(n))),
+    (oracles._PARTIAL_N_CAP, lambda n: partial_min_width_exact(_untabled(n))),
+    (oracles._PARTIAL_N_CAP, lambda n: minimal_obdd(_untabled(n))),
+    (oracles._STABLE_N_CAP, lambda n: stable_exhaustive_search(_untabled(n), 2, "deterministic")),
+    (oracles._STABLE_WIDTH_CAP["deterministic"],
+     lambda w: stable_exhaustive_search(_untabled(4), w, "deterministic")),
+    (oracles._STABLE_WIDTH_CAP["nondeterministic"],
+     lambda w: stable_exhaustive_search(_untabled(4), w, "nondeterministic")),
+    (oracles._ORDER_N_CAP, lambda n: min_width_over_orders(_untabled(n))),
+], ids=["subfunction", "distinguishability", "partial", "minimal_obdd", "stable n",
+        "stable deterministic width", "stable nondeterministic width", "order search"])
+def test_each_cap_refuses_one_past_it_before_building_a_table(cap, call):
+    with pytest.raises(CapExceededError, match=rf"(n <=|width) {cap}\b"):
+        call(cap + 1)
+
+
 def test_stable_search_caps():
     f = partial_mod(1, 6)
     with pytest.raises(CapExceededError):
@@ -254,9 +279,8 @@ def test_min_width_over_orders_on_partial_function():
 
 
 def test_min_width_over_orders_cap():
-    n_cap = inspect.signature(min_width_over_orders).parameters["n_cap"].default
     with pytest.raises(CapExceededError):
-        min_width_over_orders(not_o(n_cap + 1))
+        min_width_over_orders(not_o(oracles._ORDER_N_CAP + 1))
 
 
 def test_order_search_on_asymmetric_partial_table_is_capped_at_8():

@@ -803,7 +803,7 @@ def tables_under_orders(draw):
 @settings(max_examples=150, deadline=None)
 def test_bottom_up_classes_match_the_row_dict_reference(case):
     f, order = case
-    classes = oracles._Classes(oracles._ordered_table(f, order)[0])
+    classes = oracles._Classes.from_table(oracles._ordered_table(f, order)[0])
     levels = reference_classes(f, order)
     for j, (rows, first) in enumerate(levels):
         assert classes.counts[j] == len(rows)
@@ -914,7 +914,7 @@ def test_class_counts_match_the_bench_reference(n, shape, codes):
         small = rng.choice(codes, 1 << 3)
         table = np.repeat(small, 1 << (n - 3)) if shape == "first bits" else np.tile(small, 1 << (n - 3))
     table = table.astype(np.int8).reshape(-1)
-    classes = oracles._Classes(table)
+    classes = oracles._Classes.from_table(table)
     assert classes.counts == load_bench_reference().natural_widths(table, n)
     assert classes.ids[n].dtype == np.int8
     assert all(ids.dtype == np.int32 for ids in classes.ids[:n])
