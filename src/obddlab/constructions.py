@@ -27,10 +27,10 @@ from .core import (
     ObddProgram,
     VariableOrder,
     level_map,
-    level_relation,
     level_unitary,
     natural_order,
     pairing_order,
+    _relation,
 )
 
 __all__ = [
@@ -174,9 +174,9 @@ def _layered(kind: str, order: VariableOrder, layers, steps, accept) -> ObddProg
                 arrays[key] = level_map(*(
                     [at[step(s, sym)] for s in src] for sym in (0, 1)))
             else:
-                arrays[key] = level_relation(*(
-                    [[at[t] for t in step(s, sym)] for s in src] for sym in (0, 1)),
-                    len(dst))
+                succ = [step(s, sym) for sym in (0, 1) for s in src]
+                arrays[key] = _relation(list(map(len, succ)),
+                                        [at[t] for targets in succ for t in targets], len(dst))
         levels.append(arrays[key])
     final = numbers[id(layers[-1])]
     return ObddProgram(kind=kind, order=order, widths=tuple(map(len, layers)),

@@ -60,6 +60,8 @@ of its inputs.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -139,7 +141,7 @@ class VariableOrder:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        object.__setattr__(self, "perm", tuple(int(i) for i in self.perm))
+        object.__setattr__(self, "perm", tuple(map(int, self.perm)))
         if sorted(self.perm) != list(range(self.n)):
             raise ValueError(f"perm {self.perm} is not a permutation of 0..{self.n - 1}")
 
@@ -189,26 +191,81 @@ def _pair(on0, on1, dtype) -> np.ndarray:
     return _source_major(t)
 
 
+def _first_non_integer(values: list) -> int | None:
+    """Index of the first entry of ``values`` that is not an integer (a
+    bool is not one), or None.  The builders cast targets to ``intp``,
+    which would truncate a float, parse a string and read a bool as 1, or
+    use it as a boolean index."""
+    kinds = set(map(type, values))
+    if kinds <= {int} or all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
+        return None
+    return next(i for i, u in enumerate(values)
+                if isinstance(u, bool) or not isinstance(u, (int, np.integer)))
+
+
 def level_map(on0: Iterable[int], on1: Iterable[int]) -> np.ndarray:
     """Deterministic level ``int[2, w_in]`` from two source-indexed target
-    lists."""
-    return _pair(list(on0), list(on1), np.intp)
+    lists; a target that is not an integer raises ValueError naming the
+    first."""
+    rows = list(on0), list(on1)
+    i = _first_non_integer(rows[0] + rows[1])
+    if i is not None:
+        sym, s = (0, i) if i < len(rows[0]) else (1, i - len(rows[0]))
+        raise ValueError(f"symbol {sym}: node {s} maps to {rows[sym][s]!r}, not an integer")
+    if len(rows[0]) != len(rows[1]):
+        raise ValueError(f"symbol transitions disagree in shape: "
+                         f"{(len(rows[0]),)} vs {(len(rows[1]),)}")
+    t = np.array(rows, dtype=np.intp, order="F")  # Fortran order is source-major here
+    t.setflags(write=False)
+    return t
 
 
 def level_relation(on0: Iterable[Iterable[int]], on1: Iterable[Iterable[int]],
                    width: int) -> np.ndarray:
     """Nondeterministic level ``bool[2, width, w_in]`` from two source-indexed
-    target-set lists; ``width`` is the size of the target level."""
-    rows = (list(on0), list(on1))
-    if len(rows[0]) != len(rows[1]):
+    target-set lists; ``width`` is the size of the target level.  A target
+    that is not an integer, or not in ``0..width - 1``, raises ValueError
+    naming the first in (symbol, source, listed) order."""
+    per_symbol = list(map(list, on0)), list(map(list, on1))
+    if len(per_symbol[0]) != len(per_symbol[1]):
         raise ValueError("symbol transitions disagree in source dimension")
-    t = np.zeros((len(rows[0]), 2, width), dtype=bool)  # source-major
-    for sym, per_source in enumerate(rows):
-        for s, targets in enumerate(per_source):
-            for u in targets:
-                if not 0 <= u < width:
-                    raise ValueError(f"symbol {sym}: node {s} maps to {u} outside 0..{width - 1}")
-                t[s, sym, u] = True
+    rows = per_symbol[0] + per_symbol[1]
+    counts = list(map(len, rows))
+    targets = list(itertools.chain.from_iterable(rows))
+    i = _first_non_integer(targets)
+    if i is not None:
+        sym, s = _row_of(counts, i)
+        raise ValueError(f"symbol {sym}: node {s} maps to {targets[i]!r}, not an integer")
+    return _relation(counts, targets, width)
+
+
+def _row_of(counts: Sequence[int], i: int) -> tuple[int, int]:
+    """(symbol, source) of entry ``i`` of the flat rows with ``counts``
+    (:func:`_relation`)."""
+    return divmod(bisect.bisect_right(list(itertools.accumulate(counts)), i), len(counts) // 2)
+
+
+def _relation(counts: Sequence[int], targets: Sequence[int], width: int) -> np.ndarray:
+    """Nondeterministic level ``bool[2, width, w_in]`` from flat rows:
+    ``targets`` lists the integer targets of every (symbol, source) pair in
+    that order, ``counts[sym * w_in + s]`` of them for node ``s`` on
+    ``sym``.  One vectorized range check and one indexed store set all the
+    edges; a target outside ``0..width - 1`` raises ValueError naming the
+    first."""
+    w_in = len(counts) // 2
+    rows = np.repeat(np.arange(2 * w_in), counts)  # row sym * w_in + s holds (sym, s)
+    try:
+        # raises unless every target is in 0..width - 1
+        at = np.ravel_multi_index((rows, np.asarray(targets, dtype=np.intp)), (2 * w_in, width))
+    except (OverflowError, ValueError):
+        i = next((i for i, u in enumerate(targets) if not 0 <= u < width), None)
+        if i is None:
+            raise
+        sym, s = _row_of(counts, i)
+        raise ValueError(
+            f"symbol {sym}: node {s} maps to {targets[i]} outside 0..{width - 1}") from None
+    t = np.zeros((w_in, 2, width), dtype=bool)  # source-major
+    t.transpose(1, 0, 2).flat[at] = True  # the flat index runs over (sym, s, u)
     t.setflags(write=False)
     return t.transpose(1, 2, 0)
 
@@ -257,7 +314,7 @@ class ObddProgram:
     stable: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        object.__setattr__(self, "widths", tuple(map(int, self.widths)))
         # levels are kept source-major (module docstring), which the
         # kernel reads without a copy, and read-only, so that the memos
         # below stay true; each distinct object is converted once, so a
@@ -267,8 +324,8 @@ class ObddProgram:
             if id(t) not in arrays:
                 a = np.asarray(t)
                 arrays[id(t)] = _source_major(a) if a.ndim in (2, 3) else a
-        object.__setattr__(self, "levels", tuple(arrays[id(t)] for t in self.levels))
-        object.__setattr__(self, "accept", frozenset(int(a) for a in self.accept))
+        object.__setattr__(self, "levels", tuple(map(arrays.__getitem__, map(id, self.levels))))
+        object.__setattr__(self, "accept", frozenset(map(int, self.accept)))
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
 
@@ -550,11 +607,11 @@ def validate_program(p: ObddProgram) -> ValidationReport:
         out.append(f"accepting nodes {sorted(bad_accept)} outside 0..{p.widths[n] - 1}")
     # stable programs repeat one array object, which needs checking once
     clean = set()
-    for j in range(1, n + 1):
-        key = (id(p.level(j)), p.widths[j - 1], p.widths[j])
+    for j, (t, w_in, w_out) in enumerate(zip(p.levels, p.widths, p.widths[1:]), start=1):
+        key = (id(t), w_in, w_out)
         if key not in clean:
             found = len(out)
-            _check_level(p.kind, j, p.level(j), p.widths[j - 1], p.widths[j], out)
+            _check_level(p.kind, j, t, w_in, w_out, out)
             if len(out) == found:
                 clean.add(key)
     if p.stable:
@@ -887,9 +944,12 @@ def stable_symbol_chain(p: ObddProgram, symbol: int) -> np.ndarray:
 
 
 def programs_structurally_equal(a: ObddProgram, b: ObddProgram) -> bool:
-    """Field-by-field equality (exact array comparison of the levels)."""
+    """Field-by-field equality (exact array comparison of the levels).  Each
+    distinct pair of level objects is compared once, and an object equals
+    itself."""
     if (a.kind, a.order, a.widths, a.initial, a.accept, a.stable) != (
         b.kind, b.order, b.widths, b.initial, b.accept, b.stable
     ):
         return False
-    return all(np.array_equal(x, y) for x, y in zip(a.levels, b.levels))
+    pairs = {(id(x), id(y)): (x, y) for x, y in zip(a.levels, b.levels) if x is not y}
+    return all(np.array_equal(x, y) for x, y in pairs.values())

@@ -35,12 +35,24 @@ keeps that sharing.  The encoder renders each distinct level object once
 and repeats its lines wherever the program repeats the object.  The decoder
 parses each distinct payload text once, and levels whose two payloads
 repeat an earlier level's decode to that level's array object, so a stable
-program decodes to one shared array.  Errors and their line numbers are
-those of a line-by-line parse: a repeated payload is reused only after it
-parsed cleanly.
+program decodes to one shared array.
+
+The decoder's Python work is per distinct payload, not per token.  A level
+line is compared as text with the expected ``level {j} symbol {s}``; only a
+line that differs is tokenized, so other spellings (extra spaces, tabs,
+``01``) are still accepted.  A payload is keyed by its joined lines, and a
+new one is parsed in one pass over all of them (a relation becomes row
+lengths and flat targets, stored by :func:`obddlab.core._relation`).  When
+that pass fails, the payload is parsed again line by line, which names the
+first bad line.  Errors and their line numbers are thus those of a
+line-by-line parse: a repeated payload is reused only after it parsed
+cleanly.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import Sequence
 
 import numpy as np
 
@@ -49,9 +61,9 @@ from .core import (
     ObddProgram,
     VariableOrder,
     level_map,
-    level_relation,
     level_stochastic,
     level_unitary,
+    _relation,
 )
 
 __all__ = ["encode_program", "decode_program", "ProgramFormatError"]
@@ -127,32 +139,34 @@ def encode_program(p: ObddProgram) -> str:
 
 
 class _Reader:
-    """The content lines of a document, stripped, with their line numbers;
-    blank lines and ``#`` comments are skipped."""
+    """The content lines of a document, stripped; blank lines and ``#``
+    comments are skipped.  A line's number is its position plus one unless
+    some line was skipped; only then is a table of numbers kept."""
 
     def __init__(self, text: str):
-        lines = text.splitlines()
-        self.end = len(lines) + 1  # the line number of a missing line
-        numbered = [(i, line) for i, line in enumerate(map(str.strip, lines), start=1)
-                    if line and line[0] != "#"]
-        self.linenos, self.lines = tuple(zip(*numbered)) or ((), ())
+        self.lines = tuple(map(str.strip, text.splitlines()))
+        self.end = len(self.lines) + 1  # the line number of a missing line
+        self.linenos = None
+        if "#" in text or not all(self.lines):
+            kept = [i for i, line in enumerate(self.lines) if line and line[0] != "#"]
+            if len(kept) < len(self.lines):
+                self.linenos = [i + 1 for i in kept]
+                self.lines = tuple(map(self.lines.__getitem__, kept))
         self.pos = 0
 
-    @property
-    def lineno(self) -> int:
-        """Line number of the last line read."""
-        return self.linenos[self.pos - 1]
+    def lineno(self, pos: int) -> int:
+        """Line number of the line at ``pos``."""
+        return pos + 1 if self.linenos is None else self.linenos[pos]
+
+    def linenos_of(self, start: int, stop: int) -> Sequence[int]:
+        """Line numbers of the lines at ``start..stop - 1``."""
+        return range(start + 1, stop + 1) if self.linenos is None else self.linenos[start:stop]
 
     def next_line(self, what: str) -> tuple[int, str]:
         if self.pos == len(self.lines):
             raise ProgramFormatError(self.end, f"unexpected end of document, expected {what}")
         self.pos += 1
-        return self.linenos[self.pos - 1], self.lines[self.pos - 1]
-
-    def take(self, count: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        """The next ``count`` lines and their numbers; fewer at the end."""
-        start, self.pos = self.pos, min(self.pos + count, len(self.lines))
-        return self.linenos[start:self.pos], self.lines[start:self.pos]
+        return self.lineno(self.pos - 1), self.lines[self.pos - 1]
 
     def keyword(self, key: str) -> tuple[int, list[str]]:
         lineno, line = self.next_line(f"'{key}'")
@@ -164,7 +178,7 @@ class _Reader:
 
 def _ints(lineno: int, tokens: list[str], what: str) -> list[int]:
     try:
-        return [int(t) for t in tokens]
+        return list(map(int, tokens))
     except ValueError:
         raise ProgramFormatError(lineno, f"{what}: expected integers, got {tokens!r}")
 
@@ -221,30 +235,44 @@ def decode_program(text: str) -> ObddProgram:
     accept = [] if toks == ["-"] else _ints(lineno, toks, "accept")
     stable = _int_line(r, "stable")
     if stable not in (0, 1):
-        raise ProgramFormatError(r.lineno, f"stable must be 0 or 1, got {stable}")
+        raise ProgramFormatError(r.lineno(r.pos - 1), f"stable must be 0 or 1, got {stable}")
 
     # a payload is parsed the first time its text appears, and a level whose
     # two payloads repeat an earlier level's becomes that level's array
-    parsed: dict[tuple, list] = {}
+    parsed: dict[tuple, object] = {}
     arrays: dict[tuple, np.ndarray] = {}
     levels = []
+    lines, pos = r.lines, r.pos
     for j in range(1, n + 1):
+        w_in, w_out = widths[j - 1], widths[j]
+        count = 1 if kind == "deterministic" else w_in if kind == "nondeterministic" else w_out
+        # a payload's key: the widths its parse depends on (a deterministic
+        # map's range is checked by validation), then its lines, joined
+        shape = (w_in, None if kind == "deterministic" else w_out)
         keys = []
         for sym in (0, 1):
-            lineno, toks = r.keyword("level")
-            if len(toks) != 3 or _ints(lineno, toks[:1], "level") != [j] or \
-                    toks[1] != "symbol" or _ints(lineno, toks[2:], "symbol") != [sym]:
-                raise ProgramFormatError(lineno, f"expected 'level {j} symbol {sym}'")
-            keys.append(_read_payload(r, kind, widths[j - 1], widths[j], j, sym, parsed))
+            header = f"level {j} symbol {sym}"
+            if pos < len(lines) and lines[pos] == header:
+                pos += 1
+            else:
+                r.pos = pos
+                _level_line(r, j, sym)
+                pos = r.pos
+            key = shape + ("\n".join(lines[pos:pos + count]),)
+            if key not in parsed:
+                parsed[key] = _parse_new_payload(r, kind, pos, count, w_in, w_out, header)
+            pos += count
+            keys.append(key)
         key = tuple(keys)
         if key not in arrays:
-            arrays[key] = _combine(kind, [parsed[k] for k in keys], widths[j])
+            arrays[key] = _combine(kind, [parsed[k] for k in keys], w_out)
         levels.append(arrays[key])
+    r.pos = pos
     lineno, toks = r.keyword("end")
     if toks:
         raise ProgramFormatError(lineno, f"'end' takes no values, got {toks!r}")
     if r.pos < len(r.lines):
-        raise ProgramFormatError(r.linenos[r.pos], "content after 'end'")
+        raise ProgramFormatError(r.lineno(r.pos), "content after 'end'")
 
     p = ObddProgram(
         kind=kind, order=order, widths=tuple(widths), levels=tuple(levels),
@@ -254,25 +282,72 @@ def decode_program(text: str) -> ObddProgram:
     return p
 
 
-def _read_payload(r: _Reader, kind: str, w_in: int, w_out: int, j: int, sym: int,
-                  parsed: dict[tuple, list]) -> tuple:
-    """Read one payload and return its key in ``parsed``: its lines and the
-    widths its parse depends on (a deterministic map's range is checked by
-    validation, so its target width is not part of the key)."""
-    where = f"level {j} symbol {sym}"
-    count = 1 if kind == "deterministic" else w_in if kind == "nondeterministic" else w_out
-    linenos, lines = r.take(count)
+def _level_line(r: _Reader, j: int, sym: int) -> None:
+    """Read a level line spelled other than ``level {j} symbol {sym}``:
+    accept another spelling of it, such as ``level 01 symbol  0``, or
+    raise."""
+    lineno, toks = r.keyword("level")
+    if len(toks) != 3 or _ints(lineno, toks[:1], "level") != [j] or \
+            toks[1] != "symbol" or _ints(lineno, toks[2:], "symbol") != [sym]:
+        raise ProgramFormatError(lineno, f"expected 'level {j} symbol {sym}'")
+
+
+def _parse_new_payload(r: _Reader, kind: str, start: int, count: int, w_in: int, w_out: int,
+                       where: str):
+    """The value of the payload of ``count`` lines at ``start``, seen for
+    the first time: parsed in one pass, or line by line if that fails, so
+    that the error names the first bad line."""
+    lines, linenos = r.lines[start:start + count], r.linenos_of(start, start + count)
     if len(lines) < count:
         _parse_rows(kind, linenos, lines, w_in, w_out, where)  # a bad row fails first
+        r.pos = len(r.lines)
         r.next_line(f"{where} {_ROW[kind]}")  # raises: the document ends too soon
-    key = (w_in, None if kind == "deterministic" else w_out, lines)
-    if key not in parsed:
-        parsed[key] = _parse_rows(kind, linenos, lines, w_in, w_out, where)
-    return key
+    value = _parse_payload(kind, lines, w_in, w_out)
+    if value is None:
+        value = _parse_rows(kind, linenos, lines, w_in, w_out, where)
+    return value
 
 
-def _parse_rows(kind: str, linenos: tuple[int, ...], lines: tuple[str, ...], w_in: int,
-                w_out: int, where: str) -> list:
+def _parse_payload(kind: str, lines: tuple[str, ...], w_in: int, w_out: int):
+    """The value of a payload, from one pass over all its lines, or None if
+    any line is malformed (:func:`_parse_rows` then names the first).
+
+    It accepts exactly what :func:`_parse_rows` accepts and gives the same
+    value: a deterministic map's targets, a relation's row lengths and flat
+    targets, or a matrix."""
+    try:
+        if kind == "deterministic":
+            targets = list(map(int, lines[0].split()))
+            fits = len(targets) == w_in and \
+                _NODE_INDEX.min <= min(targets) and max(targets) <= _NODE_INDEX.max
+            return targets if fits else None
+        rows = list(map(str.split, lines))
+        if kind == "nondeterministic":
+            if ["-"] in rows:
+                rows = [[] if row == ["-"] else row for row in rows]
+            targets = list(map(int, itertools.chain.from_iterable(rows)))
+            if targets and not (0 <= min(targets) and max(targets) < w_out):
+                return None
+            return list(map(len, rows)), targets
+        if set(map(len, rows)) != {w_in}:
+            return None
+        tokens = list(itertools.chain.from_iterable(rows))
+        if kind == "probabilistic":
+            return np.array(list(map(float, tokens))).reshape(w_out, w_in)
+        # every entry is one "re,im" pair, so the pieces alternate re and im
+        if set(map(str.count, tokens, itertools.repeat(","))) != {1}:
+            return None
+        parts = list(map(float, ",".join(tokens).split(",")))
+        return np.array(parts).view(complex).reshape(w_out, w_in)
+    except ValueError:
+        return None
+
+
+def _parse_rows(kind: str, linenos: Sequence[int], lines: tuple[str, ...], w_in: int,
+                w_out: int, where: str):
+    """The value of a payload (:func:`_parse_payload`), parsed line by line,
+    so that an error names the first malformed line; a truncated payload is
+    checked as far as it goes."""
     rows = []
     for s, (lineno, line) in enumerate(zip(linenos, lines)):
         if kind == "deterministic":
@@ -309,14 +384,19 @@ def _parse_rows(kind: str, linenos: tuple[int, ...], lines: tuple[str, ...], w_i
                     rows.append(entries)
             except (ValueError, TypeError):
                 raise ProgramFormatError(lineno, f"{where}: malformed numeric entry")
-    return rows
+    if kind == "deterministic":
+        return rows[0] if rows else None  # None: a truncated payload
+    if kind == "nondeterministic":
+        return list(map(len, rows)), list(itertools.chain.from_iterable(rows))
+    return np.array(rows, dtype=float if kind == "probabilistic" else complex)
 
 
 def _combine(kind: str, per_symbol: list, w_out: int) -> np.ndarray:
     if kind == "deterministic":
-        return level_map(per_symbol[0][0], per_symbol[1][0])
+        return level_map(*per_symbol)
     if kind == "nondeterministic":
-        return level_relation(per_symbol[0], per_symbol[1], w_out)
+        (counts0, targets0), (counts1, targets1) = per_symbol
+        return _relation(counts0 + counts1, targets0 + targets1, w_out)
     if kind == "probabilistic":
-        return level_stochastic(per_symbol[0], per_symbol[1])
-    return level_unitary(per_symbol[0], per_symbol[1])
+        return level_stochastic(*per_symbol)
+    return level_unitary(*per_symbol)

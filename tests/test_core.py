@@ -22,6 +22,7 @@ from obddlab import (
     node_trace,
     pairing_order,
     program_width,
+    programs_structurally_equal,
     simulate,
     stable_symbol_chain,
     state_trace,
@@ -227,6 +228,62 @@ def test_simulate_rejects_wrong_length_and_bad_symbols():
 def test_relation_targets_must_fit_the_target_width():
     with pytest.raises(ValueError):
         level_relation([[0, 2]], [[0]], 2)
+
+
+def test_relation_names_its_first_out_of_range_target():
+    # bad targets on both symbols; the first in (symbol, source, listed)
+    # order is the negative one of source 1 on symbol 0
+    on0 = [[0, 1], [2, -1, 7], [9]]
+    on1 = [[-5], [], [3]]
+    with pytest.raises(ValueError) as err:
+        level_relation(on0, on1, 3)
+    assert str(err.value) == "symbol 0: node 1 maps to -1 outside 0..2"
+    with pytest.raises(ValueError) as err:
+        level_relation([[0], [], [1]], on1, 3)
+    assert str(err.value) == "symbol 1: node 0 maps to -5 outside 0..2"
+    with pytest.raises(ValueError) as err:
+        level_relation([[0], [1, 2 ** 70]], [[0], [1]], 3)
+    assert str(err.value) == f"symbol 0: node 1 maps to {2 ** 70} outside 0..2"
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: level_relation([[True]], [[0]], 3), "symbol 0: node 0 maps to True, not an integer"),
+    (lambda: level_relation([[0], [1.5]], [[0], [1]], 3),
+     "symbol 0: node 1 maps to 1.5, not an integer"),
+    (lambda: level_relation([[0], [1]], [[0], [2, np.True_]], 3),
+     "symbol 1: node 1 maps to np.True_, not an integer"),
+    (lambda: level_map([1.7], [0]), "symbol 0: node 0 maps to 1.7, not an integer"),
+    (lambda: level_map(["1", "0"], [0, 1]), "symbol 0: node 0 maps to '1', not an integer"),
+    (lambda: level_map([0, 1], [1, False]), "symbol 1: node 1 maps to False, not an integer"),
+], ids=["bool relation", "float relation", "numpy bool relation", "float map", "string map",
+        "bool map"])
+def test_builders_take_integer_targets_only(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_builders_take_numpy_integer_targets():
+    t = level_relation([np.array([0, 2])], [[np.uint8(1)]], 3)
+    assert t[:, :, 0].tolist() == [[True, False, True], [False, True, False]]
+    t = level_map(np.array([1, 0], dtype=np.int32), [np.int64(0), 1])
+    assert t.tolist() == [[1, 0], [0, 1]]
+
+
+def test_structural_equality_compares_each_level_of_a_repeated_array():
+    # one array object at every level; the copy differs at level 2 alone
+    same = level_map([1, 0], [0, 1])
+    other = level_map([0, 0], [0, 1])
+    p = ObddProgram(kind="deterministic", order=natural_order(3), widths=(2,) * 4,
+                    levels=(same,) * 3, initial=0, accept=frozenset({0}))
+    q = ObddProgram(kind="deterministic", order=natural_order(3), widths=(2,) * 4,
+                    levels=(level_map([1, 0], [0, 1]), other, level_map([1, 0], [0, 1])),
+                    initial=0, accept=frozenset({0}))
+    assert not programs_structurally_equal(p, q) and not programs_structurally_equal(q, p)
+    r = ObddProgram(kind="deterministic", order=natural_order(3), widths=(2,) * 4,
+                    levels=(same, level_map([1, 0], [0, 1]), same), initial=0,
+                    accept=frozenset({0}))
+    assert programs_structurally_equal(p, r) and programs_structurally_equal(p, p)
 
 
 def test_parse_bits_reads_strings_and_sequences():

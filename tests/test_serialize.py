@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,13 @@ from obddlab import (
     AcceptanceMode,
     InvalidProgramError,
     ObddProgram,
+    VariableOrder,
     computes,
     core,
     level_map,
     level_relation,
+    level_stochastic,
+    level_unitary,
     lift_deterministic,
     natural_order,
     program_width,
@@ -26,6 +31,7 @@ from obddlab.constructions import (
     build_quantum_nondet_noto,
     build_quantum_partialmod,
 )
+from obddlab.core import KINDS
 from obddlab.functions import mod_count
 from obddlab.serialize import ProgramFormatError, decode_program, encode_program
 
@@ -397,3 +403,256 @@ def test_a_relation_text_repeated_into_a_wider_level_decodes_to_its_own_array():
     q = decode_program(text)
     assert programs_structurally_equal(p, q)
     assert q.levels[0] is not q.levels[1]
+
+
+# ---------------------------------------------------------------------------
+# the decoder against a line-by-line reference
+# ---------------------------------------------------------------------------
+
+def reference_decode(text):
+    """The decoder as a line-by-line parse: every line is tokenized and
+    checked where it stands, and every payload is parsed where it appears."""
+    magic, max_entries, node_min, node_max = "obddprogram 1", 1 << 24, -2 ** 63, 2 ** 63 - 1
+    row = {"deterministic": "map", "nondeterministic": "relation row",
+           "probabilistic": "matrix row", "quantum": "matrix row"}
+    numbered = [(i, line) for i, line in enumerate(map(str.strip, text.splitlines()), start=1)
+                if line and line[0] != "#"]
+    end = len(text.splitlines()) + 1
+    pos = 0
+
+    def next_line(what):
+        nonlocal pos
+        if pos == len(numbered):
+            raise ProgramFormatError(end, f"unexpected end of document, expected {what}")
+        pos += 1
+        return numbered[pos - 1]
+
+    def keyword(key):
+        lineno, line = next_line(f"'{key}'")
+        parts = line.split()
+        if parts[0] != key:
+            raise ProgramFormatError(lineno, f"expected '{key}', got {parts[0]!r}")
+        return lineno, parts[1:]
+
+    def ints(lineno, tokens, what):
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:
+            raise ProgramFormatError(lineno, f"{what}: expected integers, got {tokens!r}")
+
+    def int_line(key):
+        lineno, toks = keyword(key)
+        if len(toks) != 1:
+            raise ProgramFormatError(lineno, f"'{key}' takes one integer, got {len(toks)} values")
+        return ints(lineno, toks, key)[0]
+
+    def parse_rows(kind, rows, w_in, w_out, where):
+        out = []
+        for s, (lineno, line) in enumerate(rows):
+            if kind == "deterministic":
+                targets = ints(lineno, line.split(), where)
+                if len(targets) != w_in:
+                    raise ProgramFormatError(
+                        lineno, f"{where}: expected {w_in} targets, got {len(targets)}")
+                if not node_min <= min(targets) <= max(targets) <= node_max:
+                    raise ProgramFormatError(
+                        lineno, f"{where}: a target outside {node_min}..{node_max}")
+                out.append(targets)
+            elif kind == "nondeterministic":
+                targets = [] if line == "-" else ints(lineno, line.split(), where)
+                bad = [u for u in targets if not 0 <= u < w_out]
+                if bad:
+                    raise ProgramFormatError(
+                        lineno, f"{where}: node {s} maps to {bad} outside 0..{w_out - 1}")
+                out.append(targets)
+            else:
+                tokens = line.split()
+                if len(tokens) != w_in:
+                    raise ProgramFormatError(
+                        lineno, f"{where}: expected {w_in} entries, got {len(tokens)}")
+                try:
+                    if kind == "probabilistic":
+                        out.append([float(t) for t in tokens])
+                    else:
+                        entries = []
+                        for t in tokens:
+                            re, im = t.split(",")
+                            entries.append(complex(float(re), float(im)))
+                        out.append(entries)
+                except (ValueError, TypeError):
+                    raise ProgramFormatError(lineno, f"{where}: malformed numeric entry")
+        return out
+
+    lineno, line = next_line("header")
+    if line != magic:
+        raise ProgramFormatError(lineno, f"expected header {magic!r}")
+    lineno, toks = keyword("kind")
+    if len(toks) != 1 or toks[0] not in KINDS:
+        raise ProgramFormatError(lineno, f"kind must be one of {KINDS}")
+    kind = toks[0]
+    n = int_line("n")
+    lineno, toks = keyword("order")
+    perm = ints(lineno, toks, "order")
+    if len(perm) != n:
+        raise ProgramFormatError(lineno, f"expected {n} order entries, got {len(perm)}")
+    try:
+        order = VariableOrder(n, tuple(perm))
+    except ValueError as e:
+        raise ProgramFormatError(lineno, str(e))
+    lineno, toks = keyword("widths")
+    widths = ints(lineno, toks, "widths")
+    if len(widths) != n + 1:
+        raise ProgramFormatError(lineno, f"expected {n + 1} widths, got {len(widths)}")
+    if min(widths) < 1:
+        raise ProgramFormatError(lineno, "widths must be positive")
+    for j in range(1, n + 1):
+        entries = 2 * widths[j - 1] * (1 if kind == "deterministic" else widths[j])
+        if entries > max_entries:
+            raise ProgramFormatError(
+                lineno, f"level {j}: {entries} transition entries exceed the bound {max_entries}")
+    initial = int_line("initial")
+    lineno, toks = keyword("accept")
+    accept = [] if toks == ["-"] else ints(lineno, toks, "accept")
+    stable = int_line("stable")
+    if stable not in (0, 1):
+        raise ProgramFormatError(numbered[pos - 1][0], f"stable must be 0 or 1, got {stable}")
+
+    levels = []
+    for j in range(1, n + 1):
+        w_in, w_out = widths[j - 1], widths[j]
+        per_symbol = []
+        for sym in (0, 1):
+            lineno, toks = keyword("level")
+            if len(toks) != 3 or ints(lineno, toks[:1], "level") != [j] or \
+                    toks[1] != "symbol" or ints(lineno, toks[2:], "symbol") != [sym]:
+                raise ProgramFormatError(lineno, f"expected 'level {j} symbol {sym}'")
+            where = f"level {j} symbol {sym}"
+            count = 1 if kind == "deterministic" else w_in if kind == "nondeterministic" else w_out
+            rows = numbered[pos:pos + count]
+            pos = min(pos + count, len(numbered))
+            per_symbol.append(parse_rows(kind, rows, w_in, w_out, where))
+            if len(rows) < count:
+                next_line(f"{where} {row[kind]}")
+        if kind == "deterministic":
+            levels.append(level_map(per_symbol[0][0], per_symbol[1][0]))
+        elif kind == "nondeterministic":
+            levels.append(level_relation(per_symbol[0], per_symbol[1], w_out))
+        elif kind == "probabilistic":
+            levels.append(level_stochastic(*per_symbol))
+        else:
+            levels.append(level_unitary(*per_symbol))
+    lineno, toks = keyword("end")
+    if toks:
+        raise ProgramFormatError(lineno, f"'end' takes no values, got {toks!r}")
+    if pos < len(numbered):
+        raise ProgramFormatError(numbered[pos][0], "content after 'end'")
+    p = ObddProgram(kind=kind, order=order, widths=tuple(widths), levels=tuple(levels),
+                    initial=initial, accept=frozenset(accept), stable=bool(stable))
+    p.require_valid()
+    return p
+
+
+#: tokens a mutation inserts or substitutes: numbers in and out of range,
+#: other spellings of them, and malformed matrix entries
+TOKENS = ["0", "1", "2", "3", "4", "7", "-1", "-2", "01", "+1", "1_0", "00", "-", "x",
+          "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+          "0.5", "1.0", "nan", "inf", "-0", "1e400", "0,0", "1,0", "0,1", "0.5,0.5",
+          "1,", ",", ",1", "1,2,3", "nan,0", "0,nan", "1,,0", "level", "symbol", "end", "#"]
+
+
+def mutate(text, rng):
+    """``text`` with one to three random edits."""
+    lines = text.splitlines()
+
+    def pick():
+        return rng.randrange(len(lines)) if lines else None
+
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(15)
+        i = pick()
+        if i is None:
+            break
+        tokens = lines[i].split()
+        if op == 0 and len(tokens) > 1:                     # swap two tokens of a line
+            a, b = rng.sample(range(len(tokens)), 2)
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+            lines[i] = " ".join(tokens)
+        elif op == 1:                                       # insert a token
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(TOKENS))
+            lines[i] = " ".join(tokens)
+        elif op == 2 and tokens:                            # replace a token
+            tokens[rng.randrange(len(tokens))] = rng.choice(TOKENS)
+            lines[i] = " ".join(tokens)
+        elif op == 3 and tokens:                            # delete a token
+            del tokens[rng.randrange(len(tokens))]
+            lines[i] = " ".join(tokens)
+        elif op == 4:                                       # delete a line
+            del lines[i]
+        elif op == 5:                                       # duplicate a line
+            lines.insert(i, lines[i])
+        elif op == 6:                                       # a comment or a blank line
+            lines.insert(i, rng.choice(["# note", "  #", "", "   ", "\t"]))
+        elif op == 7:                                       # tabs and extra spaces
+            lines[i] = rng.choice(["\t", "  ", " \t "]).join(tokens) + rng.choice(["", " ", "\t"])
+        elif op == 8 and tokens:                            # a 01-style number
+            k = rng.randrange(len(tokens))
+            tokens[k] = "0" + tokens[k]
+            lines[i] = " ".join(tokens)
+        elif op == 9:                                       # an empty relation row
+            lines[i] = rng.choice(["-", " - ", "- 0", "0 -"])
+        elif op == 10 and tokens:                           # a number off by the width
+            k = rng.randrange(len(tokens))
+            try:
+                tokens[k] = str(int(tokens[k]) + rng.choice([-9, -1, 1, 3, 64, 2 ** 63]))
+            except ValueError:
+                tokens[k] = rng.choice(TOKENS)
+            lines[i] = " ".join(tokens)
+        elif op == 11 and i + 1 < len(lines):               # swap a token between lines
+            other = lines[i + 1].split()
+            if tokens and other:
+                a, b = rng.randrange(len(tokens)), rng.randrange(len(other))
+                tokens[a], other[b] = other[b], tokens[a]
+                lines[i], lines[i + 1] = " ".join(tokens), " ".join(other)
+        elif op == 12:                                      # swap two lines
+            k = pick()
+            lines[i], lines[k] = lines[k], lines[i]
+        elif op == 13 and i + 1 < len(lines) and tokens:    # move a token to the next line
+            lines[i + 1] += " " + tokens.pop(rng.randrange(len(tokens)))
+            lines[i] = " ".join(tokens)
+        elif op == 14 and len(tokens) > 1:                  # move a comma piece to a neighbour
+            k = rng.randrange(len(tokens) - 1)
+            head, _, rest = tokens[k + 1].partition(",")
+            tokens[k], tokens[k + 1] = tokens[k] + "," + head, rest
+            lines[i] = " ".join(tokens)
+    sep = "\r\n" if rng.random() < 0.15 else "\n"
+    return sep.join(lines) + (sep if rng.random() < 0.9 else "")
+
+
+def outcome(decode, text):
+    """What ``decode`` makes of ``text``: the program's encoding, or the
+    exception's type, message and line number."""
+    try:
+        return encode_program(decode(text))
+    except Exception as e:  # every exception, so that a bare one shows too
+        return type(e), str(e), getattr(e, "lineno", None)
+
+
+MUTATED_BASES = {
+    "deterministic": [build_det_mod(3, 6), build_det_eqs(4, 6), build_det_notpal(5)],
+    "nondeterministic": [build_nobdd_noto_fingerprint(4, 6), build_nobdd_noteqs_fingerprint(4, 5),
+                         stable_nobdd()],
+    "probabilistic": [lift_deterministic(build_det_mod(3, 6)),
+                      lift_deterministic(build_det_partialmod(0, 4))],
+    "quantum": [build_quantum_partialmod(1, 4), build_quantum_nondet_noto(4)],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_decoder_agrees_with_the_line_by_line_reference_on_mutated_documents(kind):
+    rng = random.Random(f"mutations of {kind} documents")
+    texts = [encode_program(p) for p in MUTATED_BASES[kind]]
+    for text in texts:
+        assert outcome(decode_program, text) == outcome(reference_decode, text) == text
+    for _ in range(1500):
+        text = mutate(rng.choice(texts), rng)
+        assert outcome(decode_program, text) == outcome(reference_decode, text), text
