@@ -99,7 +99,7 @@ def _cmd_build(args) -> int:
     fz.make_function(key[0], k=args.k, n=args.n)  # names a missing or stray --k
     program = _BUILDERS[key](args.k, args.n)
     if args.determinize:
-        program = nobdd_to_obdd_subset(program, subset_cap=args.width_cap)
+        program = nobdd_to_obdd_subset(program)
     widths = program_width(program)
     _emit(encode_program(program), args.out)
     print(f"built {key[0]} ({program.kind}), n={program.n}, "
@@ -222,8 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--determinize", action="store_true",
                    help="apply the subset construction to a nondeterministic build")
-    b.add_argument("--width-cap", type=int, default=1 << 16,
-                   help="subset-node cap for --determinize")
     b.add_argument("--out", default=None)
     b.set_defaults(run=_cmd_build)
 

@@ -31,6 +31,7 @@ from .core import (
     natural_order,
     pairing_order,
     _relation,
+    _stable_program,
 )
 
 __all__ = [
@@ -93,18 +94,6 @@ def primes_for_fingerprint(bound: int, odd_only: bool = False) -> PrimeBasis:
 # counting programs
 # ---------------------------------------------------------------------------
 
-def _stable_program(kind, n, transition, width, initial, accept) -> ObddProgram:
-    return ObddProgram(
-        kind=kind,
-        order=natural_order(n),
-        widths=(width,) * (n + 1),
-        levels=(transition,) * n,
-        initial=initial,
-        accept=frozenset(accept),
-        stable=True,
-    )
-
-
 def build_quantum_partialmod(k: int, n: int) -> ObddProgram:
     """Width-2 stable quantum ID program for ``PartialMOD(k, n)``, exact.
 
@@ -121,7 +110,7 @@ def build_quantum_partialmod(k: int, n: int) -> ObddProgram:
         [math.sin(theta), math.cos(theta)],
     ], dtype=complex)
     t = level_unitary(np.eye(2, dtype=complex), rot)
-    return _stable_program("quantum", n, t, 2, 0, {0})
+    return _stable_program("quantum", n, t, {0})
 
 
 def build_det_counter(modulus: int, n: int) -> ObddProgram:
@@ -131,7 +120,7 @@ def build_det_counter(modulus: int, n: int) -> ObddProgram:
         raise ValueError("modulus must be >= 1")
     on0 = tuple(range(modulus))
     on1 = tuple((s + 1) % modulus for s in range(modulus))
-    return _stable_program("deterministic", n, level_map(on0, on1), modulus, 0, {0})
+    return _stable_program("deterministic", n, level_map(on0, on1), {0})
 
 
 def build_det_partialmod(k: int, n: int) -> ObddProgram:
@@ -377,4 +366,4 @@ def build_quantum_nondet_noto(n: int) -> ObddProgram:
         ], dtype=complex)
 
     t = level_unitary(rotation(-phi), rotation(phi))
-    return _stable_program("quantum", n, t, 2, 0, {1})
+    return _stable_program("quantum", n, t, {1})

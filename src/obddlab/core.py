@@ -82,6 +82,9 @@ ENUMERATION_CAP = 24
 #: :func:`acceptance_table` holds at most ``2**_CHUNK_LEVELS`` states at once
 _CHUNK_LEVELS = 12
 
+#: most subset nodes :func:`nobdd_to_obdd_subset` builds at one level
+_SUBSET_CAP = 1 << 16
+
 Bits = Union[str, Sequence[int]]
 
 
@@ -186,9 +189,12 @@ def _pair(on0, on1, dtype) -> np.ndarray:
     a, b = np.asarray(on0, dtype=dtype), np.asarray(on1, dtype=dtype)
     if a.shape != b.shape:
         raise ValueError(f"symbol transitions disagree in shape: {a.shape} vs {b.shape}")
-    t = np.stack([a, b])
-    t.setflags(write=False)  # no caller holds it, so no copy is needed
-    return _source_major(t)
+    if a.ndim != 2:
+        raise ValueError(f"symbol transitions must be matrices, got shape {a.shape}")
+    t = np.empty((a.shape[1], 2, a.shape[0]), dtype=dtype)  # source-major
+    t[:, 0], t[:, 1] = a.T, b.T
+    t.setflags(write=False)
+    return t.transpose(1, 2, 0)
 
 
 def _first_non_integer(values: list) -> int | None:
@@ -355,6 +361,20 @@ class ObddProgram:
     def require_valid(self) -> None:
         if not self._validation.ok:
             raise InvalidProgramError("; ".join(self._validation.violations))
+
+
+def _stable_program(kind: str, n: int, level: np.ndarray, accept: Iterable[int]) -> ObddProgram:
+    """The stable program in the natural order that repeats ``level`` at
+    every step from node 0; every level is as wide as ``level``'s source."""
+    return ObddProgram(
+        kind=kind,
+        order=natural_order(n),
+        widths=(level.shape[-1],) * (n + 1),
+        levels=(level,) * n,
+        initial=0,
+        accept=frozenset(accept),
+        stable=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -821,9 +841,9 @@ class ProgramWidths:
 def program_width(p: ObddProgram) -> ProgramWidths:
     """Level widths ``w[0..n]`` and their maximum.
 
-    The maximum is taken over all levels including level 0; reports quote
-    both this and the reachable variant, since conventions differ on
-    whether the source level counts.
+    The maximum is taken over all levels including level 0, and it is
+    the width reports quote.  For the classical kinds the nodes reachable
+    from the initial node are counted per level as well.
     """
     p.require_valid()
     reach_counts = None
@@ -846,13 +866,13 @@ def program_width(p: ObddProgram) -> ProgramWidths:
 # model-level transformations
 # ---------------------------------------------------------------------------
 
-def nobdd_to_obdd_subset(p: ObddProgram, *, subset_cap: int = 1 << 16) -> ObddProgram:
+def nobdd_to_obdd_subset(p: ObddProgram) -> ObddProgram:
     """Determinize a nondeterministic program by the subset construction.
 
     The result accepts exactly the inputs ``p`` accepts and has width at
     most ``2**w`` where ``w`` is the width of ``p``; only subsets reachable
     from ``{initial}`` are materialized.  Raises :class:`CapExceededError`
-    if any level needs more than ``subset_cap`` subset nodes.
+    if any level needs more than ``_SUBSET_CAP`` subset nodes.
 
     Each level's image rows are keyed by their packed bytes
     (``np.packbits``, one ``ceil(w/8)``-byte record per row); the padding
@@ -872,8 +892,8 @@ def nobdd_to_obdd_subset(p: ObddProgram, *, subset_cap: int = 1 << 16) -> ObddPr
         keys = np.packbits(images, axis=1)
         keys = keys.view(np.dtype((np.void, keys.shape[1]))).reshape(-1)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        if first.size > subset_cap:
-            raise CapExceededError(f"subset construction exceeded {subset_cap} nodes at level {j}")
+        if first.size > _SUBSET_CAP:
+            raise CapExceededError(f"subset construction exceeded {_SUBSET_CAP} nodes at level {j}")
         order = np.argsort(first)
         number = np.empty_like(first)
         number[order] = np.arange(first.size)

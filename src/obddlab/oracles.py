@@ -106,6 +106,7 @@ from .core import (
     level_map,
     level_relation,
     natural_order,
+    _stable_program,
 )
 from .functions import STAR, FunctionSpec, _profile_codes
 
@@ -684,7 +685,7 @@ def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str) -> ObddProg
             word = int(feasible[k])
             i = (word & -word).bit_length() - 1
             accept = np.bitwise_or.reduce(allowed[:, :, k], axis=0) >> i & 1
-            return _stable_program(kind, w, n, 64 * (first + k) + i, np.flatnonzero(accept))
+            return _enumerated_program(kind, w, n, 64 * (first + k) + i, np.flatnonzero(accept))
         first, size = last, 2 * size
     return None
 
@@ -724,7 +725,7 @@ def _final_planes(edges: np.ndarray, n: int) -> np.ndarray:
     return planes
 
 
-def _stable_program(kind: str, w: int, n: int, p: int, accept: np.ndarray) -> ObddProgram:
+def _enumerated_program(kind: str, w: int, n: int, p: int, accept: np.ndarray) -> ObddProgram:
     """Stable program ``p`` of the enumeration, read off its bit of the
     edge planes, accepting at the nodes ``accept``."""
     edges = _edge_planes(kind, w, p // 64, p // 64 + 1)[..., 0] >> np.uint64(p % 64) & 1
@@ -733,15 +734,7 @@ def _stable_program(kind: str, w: int, n: int, p: int, accept: np.ndarray) -> Ob
         level = level_map(*([succ for (succ,) in row] for row in on))
     else:
         level = level_relation(*on, w)
-    return ObddProgram(
-        kind=kind,
-        order=natural_order(n),
-        widths=(w,) * (n + 1),
-        levels=(level,) * n,
-        initial=0,
-        accept=frozenset(accept.tolist()),
-        stable=True,
-    )
+    return _stable_program(kind, n, level, accept)
 
 
 # ---------------------------------------------------------------------------

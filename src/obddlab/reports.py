@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from . import constructions as cons
 from . import functions as fz
@@ -79,21 +79,11 @@ class ReportTable:
         return buf.getvalue()
 
 
-_SEPARATION_HEADERS = (
-    "model", "function", "constructed_width", "oracle_value", "oracle_kind",
-    "verdict", "claim",
-)
-
-
 def _separation_table(title: str, rows: list[SeparationRow]) -> ReportTable:
     return ReportTable(
         title=title,
-        headers=_SEPARATION_HEADERS,
-        rows=[
-            (r.model, r.function, r.constructed_width, r.oracle_value,
-             r.oracle_kind, r.verdict, r.claim)
-            for r in rows
-        ],
+        headers=tuple(f.name for f in fields(SeparationRow)),
+        rows=list(map(astuple, rows)),
     )
 
 

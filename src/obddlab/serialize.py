@@ -42,17 +42,17 @@ line is compared as text with the expected ``level {j} symbol {s}``; only a
 line that differs is tokenized, so other spellings (extra spaces, tabs,
 ``01``) are still accepted.  A payload is keyed by its joined lines, and a
 new one is parsed in one pass over all of them (a relation becomes row
-lengths and flat targets, stored by :func:`obddlab.core._relation`).  When
-that pass fails, the payload is parsed again line by line, which names the
-first bad line.  Errors and their line numbers are thus those of a
-line-by-line parse: a repeated payload is reused only after it parsed
-cleanly.
+lengths and flat targets, stored by :func:`obddlab.core._relation`).  That
+pass is the only parser that builds values.  When it refuses a payload, or
+the document ends inside one, each line is then checked on its own only to
+name the first bad one; that check builds nothing.  Errors and their line
+numbers are thus those of a line-by-line parse: a repeated payload is
+reused only after it parsed cleanly.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 import numpy as np
 
@@ -158,13 +158,13 @@ class _Reader:
         """Line number of the line at ``pos``."""
         return pos + 1 if self.linenos is None else self.linenos[pos]
 
-    def linenos_of(self, start: int, stop: int) -> Sequence[int]:
-        """Line numbers of the lines at ``start..stop - 1``."""
-        return range(start + 1, stop + 1) if self.linenos is None else self.linenos[start:stop]
+    def ended(self, what: str) -> ProgramFormatError:
+        """The error for a document that ends where ``what`` was expected."""
+        return ProgramFormatError(self.end, f"unexpected end of document, expected {what}")
 
     def next_line(self, what: str) -> tuple[int, str]:
         if self.pos == len(self.lines):
-            raise ProgramFormatError(self.end, f"unexpected end of document, expected {what}")
+            raise self.ended(what)
         self.pos += 1
         return self.lineno(self.pos - 1), self.lines[self.pos - 1]
 
@@ -242,7 +242,6 @@ def decode_program(text: str) -> ObddProgram:
     parsed: dict[tuple, object] = {}
     arrays: dict[tuple, np.ndarray] = {}
     levels = []
-    lines, pos = r.lines, r.pos
     for j in range(1, n + 1):
         w_in, w_out = widths[j - 1], widths[j]
         count = 1 if kind == "deterministic" else w_in if kind == "nondeterministic" else w_out
@@ -251,23 +250,16 @@ def decode_program(text: str) -> ObddProgram:
         shape = (w_in, None if kind == "deterministic" else w_out)
         keys = []
         for sym in (0, 1):
-            header = f"level {j} symbol {sym}"
-            if pos < len(lines) and lines[pos] == header:
-                pos += 1
-            else:
-                r.pos = pos
-                _level_line(r, j, sym)
-                pos = r.pos
-            key = shape + ("\n".join(lines[pos:pos + count]),)
+            header = _level_line(r, j, sym)
+            key = shape + ("\n".join(r.lines[r.pos:r.pos + count]),)
             if key not in parsed:
-                parsed[key] = _parse_new_payload(r, kind, pos, count, w_in, w_out, header)
-            pos += count
+                parsed[key] = _parse_new_payload(r, kind, count, w_in, w_out, header)
+            r.pos += count
             keys.append(key)
         key = tuple(keys)
         if key not in arrays:
             arrays[key] = _combine(kind, [parsed[k] for k in keys], w_out)
         levels.append(arrays[key])
-    r.pos = pos
     lineno, toks = r.keyword("end")
     if toks:
         raise ProgramFormatError(lineno, f"'end' takes no values, got {toks!r}")
@@ -282,39 +274,48 @@ def decode_program(text: str) -> ObddProgram:
     return p
 
 
-def _level_line(r: _Reader, j: int, sym: int) -> None:
-    """Read a level line spelled other than ``level {j} symbol {sym}``:
-    accept another spelling of it, such as ``level 01 symbol  0``, or
-    raise."""
+def _level_line(r: _Reader, j: int, sym: int) -> str:
+    """Read the line ``level {j} symbol {sym}`` and return it in that
+    spelling.  Only a line spelled otherwise is tokenized: another spelling
+    of it, such as ``level 01 symbol  0``, is accepted, anything else
+    raises."""
+    header = f"level {j} symbol {sym}"
+    if r.pos < len(r.lines) and r.lines[r.pos] == header:
+        r.pos += 1
+        return header
     lineno, toks = r.keyword("level")
     if len(toks) != 3 or _ints(lineno, toks[:1], "level") != [j] or \
             toks[1] != "symbol" or _ints(lineno, toks[2:], "symbol") != [sym]:
-        raise ProgramFormatError(lineno, f"expected 'level {j} symbol {sym}'")
+        raise ProgramFormatError(lineno, f"expected '{header}'")
+    return header
 
 
-def _parse_new_payload(r: _Reader, kind: str, start: int, count: int, w_in: int, w_out: int,
-                       where: str):
-    """The value of the payload of ``count`` lines at ``start``, seen for
-    the first time: parsed in one pass, or line by line if that fails, so
-    that the error names the first bad line."""
-    lines, linenos = r.lines[start:start + count], r.linenos_of(start, start + count)
+def _parse_new_payload(r: _Reader, kind: str, count: int, w_in: int, w_out: int, where: str):
+    """The value of the payload of ``count`` lines at ``r.pos``, seen for
+    the first time.  If the one pass refuses it, or the document ends
+    inside it, the first bad line is named; a truncated payload is checked
+    as far as it goes before its end is reported."""
+    start = r.pos
+    lines = r.lines[start:start + count]
+    if len(lines) == count:
+        value = _parse_payload(kind, lines, w_in, w_out)
+        if value is not None:
+            return value
+    for s, line in enumerate(lines):
+        problem = _row_problem(kind, s, line, w_in, w_out)
+        if problem is not None:
+            raise ProgramFormatError(r.lineno(start + s), f"{where}: {problem}")
     if len(lines) < count:
-        _parse_rows(kind, linenos, lines, w_in, w_out, where)  # a bad row fails first
-        r.pos = len(r.lines)
-        r.next_line(f"{where} {_ROW[kind]}")  # raises: the document ends too soon
-    value = _parse_payload(kind, lines, w_in, w_out)
-    if value is None:
-        value = _parse_rows(kind, linenos, lines, w_in, w_out, where)
-    return value
+        raise r.ended(f"{where} {_ROW[kind]}")
+    raise AssertionError(f"{where}: the one-pass parse refused a payload with no bad line")
 
 
 def _parse_payload(kind: str, lines: tuple[str, ...], w_in: int, w_out: int):
     """The value of a payload, from one pass over all its lines, or None if
-    any line is malformed (:func:`_parse_rows` then names the first).
-
-    It accepts exactly what :func:`_parse_rows` accepts and gives the same
-    value: a deterministic map's targets, a relation's row lengths and flat
-    targets, or a matrix."""
+    any line is malformed (:func:`_row_problem` then names the first): a
+    deterministic map's targets, a relation's row lengths and flat targets,
+    or a matrix.  It accepts a payload exactly when :func:`_row_problem`
+    finds no bad line in it."""
     try:
         if kind == "deterministic":
             targets = list(map(int, lines[0].split()))
@@ -343,52 +344,40 @@ def _parse_payload(kind: str, lines: tuple[str, ...], w_in: int, w_out: int):
         return None
 
 
-def _parse_rows(kind: str, linenos: Sequence[int], lines: tuple[str, ...], w_in: int,
-                w_out: int, where: str):
-    """The value of a payload (:func:`_parse_payload`), parsed line by line,
-    so that an error names the first malformed line; a truncated payload is
-    checked as far as it goes."""
-    rows = []
-    for s, (lineno, line) in enumerate(zip(linenos, lines)):
-        if kind == "deterministic":
-            targets = _ints(lineno, line.split(), where)
-            if len(targets) != w_in:
-                raise ProgramFormatError(
-                    lineno, f"{where}: expected {w_in} targets, got {len(targets)}")
-            # smaller out-of-range targets are left to validation, which
-            # names the node; these would not fit in the level's array
-            if not _NODE_INDEX.min <= min(targets) <= max(targets) <= _NODE_INDEX.max:
-                raise ProgramFormatError(
-                    lineno, f"{where}: a target outside {_NODE_INDEX.min}..{_NODE_INDEX.max}")
-            rows.append(targets)
-        elif kind == "nondeterministic":
-            targets = [] if line == "-" else _ints(lineno, line.split(), where)
+def _row_problem(kind: str, s: int, line: str, w_in: int, w_out: int) -> str | None:
+    """What is wrong with line ``s`` of a payload, or None if it is a good
+    row.  It checks a line the way :func:`_parse_payload` reads it, to name
+    the first bad line of a payload that pass refused; it builds no value."""
+    tokens = line.split()
+    if kind in ("deterministic", "nondeterministic"):
+        if tokens == ["-"] and kind == "nondeterministic":
+            return None
+        try:
+            targets = list(map(int, tokens))
+        except ValueError:
+            return f"expected integers, got {tokens!r}"
+        if kind == "nondeterministic":
             bad = [u for u in targets if not 0 <= u < w_out]
-            if bad:
-                raise ProgramFormatError(
-                    lineno, f"{where}: node {s} maps to {bad} outside 0..{w_out - 1}")
-            rows.append(targets)
-        else:
-            tokens = line.split()
-            if len(tokens) != w_in:
-                raise ProgramFormatError(
-                    lineno, f"{where}: expected {w_in} entries, got {len(tokens)}")
-            try:
+            return f"node {s} maps to {bad} outside 0..{w_out - 1}" if bad else None
+        if len(targets) != w_in:
+            return f"expected {w_in} targets, got {len(targets)}"
+        # smaller out-of-range targets are left to validation, which names
+        # the node; these would not fit in the level's array
+        if not _NODE_INDEX.min <= min(targets) <= max(targets) <= _NODE_INDEX.max:
+            return f"a target outside {_NODE_INDEX.min}..{_NODE_INDEX.max}"
+    else:
+        if len(tokens) != w_in:
+            return f"expected {w_in} entries, got {len(tokens)}"
+        try:
+            for t in tokens:
                 if kind == "probabilistic":
-                    rows.append(list(map(float, tokens)))
+                    float(t)
                 else:
-                    entries = []
-                    for t in tokens:
-                        re, im = t.split(",")
-                        entries.append(complex(float(re), float(im)))
-                    rows.append(entries)
-            except (ValueError, TypeError):
-                raise ProgramFormatError(lineno, f"{where}: malformed numeric entry")
-    if kind == "deterministic":
-        return rows[0] if rows else None  # None: a truncated payload
-    if kind == "nondeterministic":
-        return list(map(len, rows)), list(itertools.chain.from_iterable(rows))
-    return np.array(rows, dtype=float if kind == "probabilistic" else complex)
+                    re, im = t.split(",")
+                    float(re), float(im)
+        except ValueError:
+            return "malformed numeric entry"
+    return None
 
 
 def _combine(kind: str, per_symbol: list, w_out: int) -> np.ndarray:

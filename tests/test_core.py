@@ -12,6 +12,7 @@ from obddlab import (
     ObddProgram,
     acceptance_table,
     computes,
+    core,
     level_map,
     level_relation,
     level_stochastic,
@@ -263,6 +264,12 @@ def test_builders_take_integer_targets_only(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("build", [level_stochastic, level_unitary])
+def test_matrix_builders_take_matrices_only(build):
+    with pytest.raises(ValueError, match=r"must be matrices, got shape \(2,\)$"):
+        build([1, 0], [0, 1])
+
+
 def test_builders_take_numpy_integer_targets():
     t = level_relation([np.array([0, 2])], [[np.uint8(1)]], 3)
     assert t[:, :, 0].tolist() == [[True, False, True], [False, True, False]]
@@ -485,10 +492,11 @@ def test_subset_construction_agrees_with_fingerprint_nobdd():
         assert simulate(d, bits) == simulate(p, bits)
 
 
-def test_subset_cap_is_enforced():
+def test_subset_cap_is_enforced(monkeypatch):
+    monkeypatch.setattr(core, "_SUBSET_CAP", 2)
     p = build_nobdd_noto_fingerprint(6, 8)
     with pytest.raises(CapExceededError):
-        nobdd_to_obdd_subset(p, subset_cap=2)
+        nobdd_to_obdd_subset(p)
 
 
 def test_subset_construction_rejects_other_kinds():
@@ -510,17 +518,19 @@ def one_w_from_the_end(w, n):
     )
 
 
-def test_subset_construction_blows_up_by_the_closed_form():
+def test_subset_construction_blows_up_by_the_closed_form(monkeypatch):
     # the level-j subsets are {0} plus any pattern of the last min(j, w - 1)
     # ones, so level j has 2**min(j, w - 1) nodes
     w, n = 6, 8
     p = one_w_from_the_end(w, n)
-    d = nobdd_to_obdd_subset(p, subset_cap=32)
+    monkeypatch.setattr(core, "_SUBSET_CAP", 32)
+    d = nobdd_to_obdd_subset(p)
     assert d.widths == tuple(2 ** min(j, w - 1) for j in range(n + 1))
     assert d.widths == (1, 2, 4, 8, 16, 32, 32, 32, 32)
     assert np.array_equal(acceptance_table(d), acceptance_table(p))
+    monkeypatch.setattr(core, "_SUBSET_CAP", 31)
     with pytest.raises(CapExceededError, match="exceeded 31 nodes at level 5"):
-        nobdd_to_obdd_subset(p, subset_cap=31)
+        nobdd_to_obdd_subset(p)
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +615,25 @@ def test_bounded_error_mode_thresholds():
     assert not computes(p, always_one, AcceptanceMode.bounded_error(0.4)).ok
 
 
+def ragged_stochastic():
+    """Levels from ``level_stochastic`` between widths 3 and 2, which a
+    program keeps as they are: they are already source-major."""
+    down = level_stochastic([[0.5, 0.25, 1], [0.5, 0.75, 0]], [[0, 1, 0.5], [1, 0, 0.5]])
+    up = level_stochastic([[1, 0], [0, 0.5], [0, 0.5]], [[0.25, 0], [0.25, 1], [0.5, 0]])
+    p = ObddProgram(kind="probabilistic", order=natural_order(4), widths=(3, 2, 3, 2, 3),
+                    levels=(down, up, down, up), initial=0, accept=frozenset({0, 2}))
+    assert p.levels[0] is down and p.levels[1] is up
+    return p
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_det_mod(3, 10),
     lambda: build_det_eqs(4, 8),
     lambda: build_nobdd_noto_fingerprint(4, 8),
     lambda: lift_deterministic(build_det_mod(3, 10)),
+    ragged_stochastic,
     lambda: build_quantum_partialmod(1, 8),
-], ids=["stable", "layered", "nondeterministic", "probabilistic", "quantum"])
+], ids=["stable", "layered", "nondeterministic", "probabilistic", "stochastic", "quantum"])
 def test_c_ordered_levels_are_stored_source_major(build):
     p = build()
     # one C-ordered copy per distinct level object, as a hand-built

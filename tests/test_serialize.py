@@ -362,6 +362,25 @@ def test_a_bad_row_of_a_truncated_payload_fails_before_the_end_of_document():
     assert err.value.lineno == at + 2
 
 
+@pytest.mark.parametrize("program, at, rows, lineno, message", [
+    # a comment and a blank line inside a relation payload, before its bad row
+    (stable_nobdd(), 16, ["# note", "", "2"],
+     19, "level 2 symbol 0: node 1 maps to [2] outside 0..1"),
+    (lift_deterministic(build_det_mod(3, 6)), 14, ["", "# note", "1 0"],
+     17, "level 1 symbol 1: expected 3 entries, got 2"),
+    # the last line of the last payload, just before 'end'
+    (build_quantum_partialmod(1, 4), 31, ["0.70710678118654746,0 0.70710678118654757"],
+     32, "level 4 symbol 1: malformed numeric entry"),
+], ids=["nondeterministic", "probabilistic", "quantum"])
+def test_a_refused_payload_names_its_bad_line_by_its_number_in_the_text(
+        program, at, rows, lineno, message):
+    lines = encode_program(program).splitlines()
+    lines[at:at + 1] = rows
+    with pytest.raises(ProgramFormatError) as err:
+        decode_program("\n".join(lines) + "\n")
+    assert err.value.lineno == lineno and str(err.value) == f"line {lineno}: {message}"
+
+
 def test_decoded_programs_are_validated_once(monkeypatch):
     text = encode_program(lift_deterministic(build_det_mod(3, 8)))
     calls = []
