@@ -36,17 +36,19 @@ One kernel for batches, one walk for single inputs.  The private kernel
 :func:`_advance` moves a batch of states through one level on both
 symbols; a state is a node index, a reachable-set row or a state-vector
 row.  :func:`acceptance_table` (and with it :func:`computes`) runs it on
-all ``2**n`` inputs by prefix doubling, reachability on reachable sets,
-validation on the basis states and the subset construction on subset
-rows.  :func:`simulate` and the traces follow one input's path instead,
-through :func:`_walk`: each distinct level object is compiled once per
-program, on first use, into a Python successor list (deterministic), one
-target bitmask per (symbol, node) (nondeterministic; a reachable set is a
-Python int) or a pair of matrix views (the vector kinds), and each step
-reads only the symbol's part.  The compiled levels are memoized on the
-immutable program; a distinct level costs two lists of ``w_in`` Python
-ints (successors, or masks of ``w_out`` bits), or two views that copy
-nothing.  The stable search of :mod:`obddlab.oracles` steps bit-planes,
+all ``2**(n // 2)`` prefixes by prefix doubling and meets them with the
+values of the middle level's nodes on all suffixes, which one backward
+pass over the same source-major rows builds; reachability runs it on
+reachable sets, validation of the vector kinds on the basis states and
+the subset construction on subset rows.  :func:`simulate` and the traces
+follow one input's path instead, through :func:`_walk`: each distinct
+level object is compiled once per program, on first use, into a Python
+successor list (deterministic), one target bitmask per (symbol, node)
+(nondeterministic; a reachable set is a Python int) or a pair of matrix
+views (the vector kinds), and each step reads only the symbol's part.
+The compiled levels are memoized on the immutable program; a distinct
+level costs two lists of ``w_in`` Python ints (successors, or masks of
+``w_out`` bits), or two views that copy nothing.  The stable search of :mod:`obddlab.oracles` steps bit-planes,
 the reachable sets of 64 candidate programs per machine word, with its
 own AND and OR, not through either.
 
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
@@ -78,9 +80,6 @@ EXACT_TOL = 1e-6
 
 #: hard cap on exhaustive input enumeration in :func:`computes`
 ENUMERATION_CAP = 24
-
-#: :func:`acceptance_table` holds at most ``2**_CHUNK_LEVELS`` states at once
-_CHUNK_LEVELS = 12
 
 #: most subset nodes :func:`nobdd_to_obdd_subset` builds at one level
 _SUBSET_CAP = 1 << 16
@@ -511,20 +510,6 @@ def _double(levels: Sequence[np.ndarray], states: np.ndarray) -> np.ndarray:
     return states
 
 
-def _acceptance(p: "ObddProgram", states: np.ndarray) -> np.ndarray:
-    """Acceptance probability of each final-level state in a batch."""
-    idx = sorted(p.accept)
-    if p.kind == "deterministic":
-        accepting = np.zeros(p.widths[-1])
-        accepting[idx] = 1.0
-        return accepting[states]
-    if p.kind == "nondeterministic":
-        return states[:, idx].any(axis=1).astype(float)
-    if p.kind == "quantum":
-        return np.sum(np.abs(states[:, idx]) ** 2, axis=1)
-    return np.sum(states[:, idx], axis=1)
-
-
 def cube_transpose(values: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Reorder a ``2**n`` table by permuting the axes of its ``(2,) * n`` cube.
 
@@ -568,7 +553,14 @@ def _check_level(kind: str, j: int, t: np.ndarray, w_in: int, w_out: int, out: l
         return
     if kind == "nondeterministic":
         return
-    if kind != "deterministic" and not (np.abs(t) <= 1 + STRUCT_TOL).all():
+    if kind == "deterministic":
+        bad = (t < 0) | (t >= w_out)
+        if bad.any():
+            for sym, s in np.argwhere(bad):
+                out.append(f"level {j} symbol {sym}: node {s} maps to {t[sym, s]} "
+                           f"outside 0..{w_out - 1}")
+        return
+    if not (np.abs(t) <= 1 + STRUCT_TOL).all():
         # no stochastic or unitary matrix has a non-finite entry or one of
         # modulus above 1, and such entries could overflow the checks below
         for sym in range(2):
@@ -578,13 +570,7 @@ def _check_level(kind: str, j: int, t: np.ndarray, w_in: int, w_out: int, out: l
                 out.append(f"level {j} symbol {sym}: entries of modulus above 1")
         return
     images = _advance(t, _basis(kind, w_in))  # images[sym, s]: node s after sym
-    if kind == "deterministic":
-        bad = (images < 0) | (images >= w_out)
-        if bad.any():
-            for sym, s in np.argwhere(bad):
-                out.append(f"level {j} symbol {sym}: node {s} maps to {images[sym, s]} "
-                           f"outside 0..{w_out - 1}")
-    elif kind == "probabilistic":
+    if kind == "probabilistic":
         for sym in np.flatnonzero((images < -STRUCT_TOL).any(axis=(1, 2))):
             out.append(f"level {j} symbol {sym}: negative entries")
         sums = images.sum(axis=2)
@@ -734,7 +720,8 @@ def simulate(p: ObddProgram, bits: Bits) -> float:
         return float(final in p.accept)
     if p.kind == "nondeterministic":
         return float(any(final >> a & 1 for a in p.accept))
-    return float(_acceptance(p, final[None])[0])
+    mass = final[sorted(p.accept)]
+    return float(np.sum(np.abs(mass) ** 2 if p.kind == "quantum" else mass))
 
 
 def state_trace(p: ObddProgram, bits: Bits) -> list[StateVector]:
@@ -758,23 +745,71 @@ def acceptance_table(p: ObddProgram) -> np.ndarray:
     """Acceptance probability of ``p`` on every input, as ``float[2**n]``
     indexed like ``FunctionSpec.truth_table`` (first bit most significant).
 
-    Prefix doubling in test order: after step ``j`` the batch holds the
-    states of all ``2**j`` prefixes, so the cube costs ``n`` vectorized
-    steps instead of ``n * 2**n`` scalar ones.  Past ``2**_CHUNK_LEVELS``
-    states the last ``_CHUNK_LEVELS`` steps run once per prefix of the
-    earlier ones, which bounds memory at ``n = ENUMERATION_CAP``.
+    A meet in the middle at the cut ``h = n // 2`` (:func:`_split_table`):
+    prefix doubling gives the level-``h`` states of all ``2**h`` prefixes,
+    a backward pass gives the value of each level-``h`` node on all
+    ``2**(n-h)`` suffixes, and one gather or one product joins them.  The
+    cube costs ``n`` vectorized steps on at most ``2**(n - n // 2)`` rows
+    instead of ``n * 2**n`` scalar ones.
     """
     p.require_valid()
     n = p.n
     if n > ENUMERATION_CAP:
         raise CapExceededError(f"exhaustive check needs n <= {ENUMERATION_CAP}, got {n}")
-    head = max(0, n - _CHUNK_LEVELS)
-    prefixes = _double(p.levels[:head], _start(p))
-    table = np.concatenate([
-        _acceptance(p, _double(p.levels[head:], prefixes[i:i + 1]))
-        for i in range(len(prefixes))
-    ])
-    return cube_transpose(table, np.argsort(p.order.perm))
+    return cube_transpose(_split_table(p, n // 2), np.argsort(p.order.perm))
+
+
+def _split_table(p: ObddProgram, h: int) -> np.ndarray:
+    """The acceptance table of ``p`` in test order, met at the cut after
+    step ``h`` (``0 <= h <= n``).
+
+    ``values[u, i]`` is the acceptance of level-``h`` node ``u`` on the
+    ``i``-th suffix (steps ``h+1..n``, first bit most significant), or
+    for the quantum kind the amplitude of each accepting node in turn.
+    Each earlier level prepends its symbol by one gather or one product
+    over the source-major rows :func:`_advance` reads.  The table is then
+    ``values[prefixes]`` (deterministic), ``prefixes @ values > 0``
+    (nondeterministic, in float32: the backward pass clips its path
+    counts to 0/1, so every count stays exact) or ``prefixes @ values``
+    (probabilistic).  The quantum kind sums ``|x @ a|**2`` over the
+    accepting amplitude columns ``a`` of a suffix, which is the real form
+    ``Re sum_uv x_u conj(x_v) G[u, v]`` with ``G = sum a conj(a)^T``: one
+    real product writes the table, where the amplitudes themselves would
+    take ``2 * |accept|`` times its memory.
+    ``h = n`` is plain forward doubling.
+    """
+    n, w = p.n, p.widths[h]
+    prefixes = _double(p.levels[:h], _start(p))
+    accept = sorted(p.accept)
+    if p.kind == "quantum":
+        values = np.eye(p.widths[-1], dtype=complex)[:, accept]
+    else:
+        values = np.zeros((p.widths[-1], 1), dtype=np.float32 if p.kind == "nondeterministic"
+                          else float)
+        values[accept] = 1
+    for t in reversed(p.levels[h:]):
+        w_in = t.shape[-1]
+        if t.ndim == 2:
+            values = values[t.T]
+        else:
+            rows = t.transpose(2, 0, 1).reshape(2 * w_in, -1)  # row 2s + sym
+            if t.dtype == bool:
+                values = np.minimum(rows.astype(np.float32) @ values, 1)
+            else:
+                values = rows @ values
+        values = values.reshape(w_in, 2 * values.shape[-1])
+    if p.kind == "deterministic":
+        return values[prefixes].reshape(-1)
+    if p.kind == "nondeterministic":
+        return (prefixes.astype(np.float32) @ values > 0).reshape(-1).astype(float)
+    if p.kind == "probabilistic":
+        return (prefixes @ values).reshape(-1)
+    a = values.reshape(w, 1 << (n - h), len(accept))
+    gram = np.einsum("usa,vsa->uvs", a, a.conj()).reshape(w * w, -1)
+    outer = (prefixes[:, :, None] * prefixes[:, None, :].conj()).reshape(len(prefixes), -1)
+    table = (np.hstack([outer.real, -outer.imag]) @ np.vstack([gram.real, gram.imag])).reshape(-1)
+    # a sum of squares, but cancellation in the form can leave about -1e-17
+    return np.maximum(table, 0, out=table)
 
 
 # ---------------------------------------------------------------------------
@@ -824,14 +859,32 @@ def computes(p: ObddProgram, f, mode: AcceptanceMode) -> ComputesResult:
 @dataclass(frozen=True)
 class ProgramWidths:
     """Level sizes of a program, plus (for the classical kinds) the sizes
-    counting only nodes reachable from the initial node."""
+    counting only nodes reachable from the initial node, counted when
+    first read."""
 
     per_level: tuple[int, ...]
-    reachable_per_level: tuple[int, ...] | None = None
+    program: ObddProgram = field(repr=False, compare=False)
 
     @property
     def max_width(self) -> int:
         return max(self.per_level)
+
+    @cached_property
+    def reachable_per_level(self) -> tuple[int, ...] | None:
+        p = self.program
+        if p.kind not in ("deterministic", "nondeterministic"):
+            return None
+        reach = _start(p)
+        counts = [1]
+        for t in p.levels:
+            images = _advance(t, reach)
+            if p.kind == "deterministic":
+                reach = np.flatnonzero(np.bincount(images.ravel()))  # node indices
+                counts.append(reach.size)
+            else:
+                reach = images.any(axis=(0, 1))[None]   # one reachable-set row
+                counts.append(int(reach.sum()))
+        return tuple(counts)
 
     @property
     def reachable_max(self) -> int | None:
@@ -843,23 +896,10 @@ def program_width(p: ObddProgram) -> ProgramWidths:
 
     The maximum is taken over all levels including level 0, and it is
     the width reports quote.  For the classical kinds the nodes reachable
-    from the initial node are counted per level as well.
+    from the initial node are counted per level as well, on first read.
     """
     p.require_valid()
-    reach_counts = None
-    if p.kind in ("deterministic", "nondeterministic"):
-        reach = _start(p)
-        counts = [1]
-        for t in p.levels:
-            images = _advance(t, reach)
-            if p.kind == "deterministic":
-                reach = np.flatnonzero(np.bincount(images.ravel()))  # node indices
-                counts.append(reach.size)
-            else:
-                reach = images.any(axis=(0, 1))[None]   # one reachable-set row
-                counts.append(int(reach.sum()))
-        reach_counts = tuple(counts)
-    return ProgramWidths(per_level=p.widths, reachable_per_level=reach_counts)
+    return ProgramWidths(per_level=p.widths, program=p)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,13 @@ from obddlab.constructions import (
     build_det_counter,
     build_det_eqs,
     build_det_mod,
+    build_det_notpal,
     build_det_partialmod,
     build_nobdd_noto_fingerprint,
     build_quantum_partialmod,
 )
 from obddlab.core import parse_bits
-from obddlab.functions import from_table, mod_count, not_o_prefix, partial_mod
+from obddlab.functions import STAR, from_table, mod_count, not_o_prefix, partial_mod
 
 
 def bitstrings(n):
@@ -444,6 +445,41 @@ def test_acceptance_mode_parameter_validation():
 def test_nondeterministic_cutoff_must_lie_in_zero_one(cutoff):
     with pytest.raises(ValueError, match=r"cutoff in \[0, 1\)"):
         AcceptanceMode.nondeterministic(cutoff)
+
+
+def _empty_accept(p):
+    return ObddProgram(kind=p.kind, order=p.order, widths=p.widths, levels=p.levels,
+                       initial=p.initial, accept=frozenset(), stable=p.stable)
+
+
+@pytest.mark.parametrize("build, mode", [
+    (build_det_notpal, AcceptanceMode.deterministic()),
+    (lambda n: build_nobdd_noto_fingerprint(8, n), AcceptanceMode.nondeterministic()),
+    (lambda n: lift_deterministic(build_det_counter(3, n)), AcceptanceMode.exact()),
+    (lambda n: build_quantum_partialmod(1, n), AcceptanceMode.exact()),
+    (lambda n: _empty_accept(build_quantum_partialmod(1, n)), AcceptanceMode.exact()),
+], ids=["det_notpal", "nobdd_noto", "lifted_counter", "quantum_partialmod", "quantum_empty"])
+def test_acceptance_table_at_n20_agrees_with_simulate_and_computes(build, mode):
+    n = 20
+    p = build(n)
+    table = acceptance_table(p)
+    assert table.shape == (1 << n,)
+    rng = np.random.default_rng(20)
+    for i in rng.integers(0, 1 << n, size=200):
+        got = simulate(p, format(i, f"0{n}b"))
+        if p.kind in ("deterministic", "nondeterministic"):
+            assert got == table[i]
+        else:
+            assert got == pytest.approx(table[i], abs=1e-12)
+    # the function the table computes, then one that differs at five inputs
+    values = np.where(mode.accepts_yes(table), 1,
+                      np.where(mode.accepts_no(table), 0, STAR)).astype(np.int8)
+    assert computes(p, from_table(values), mode).ok
+    flips = rng.choice(np.flatnonzero(values != STAR), size=5, replace=False)
+    values[flips] = 1 - values[flips]
+    verdict = computes(p, from_table(values), mode)
+    assert not verdict.ok
+    assert verdict.counterexample == format(flips.min(), f"0{n}b")
 
 
 # ---------------------------------------------------------------------------

@@ -325,16 +325,38 @@ def test_counterexample_is_the_smallest_failing_input_under_any_order(p, data):
     assert verdict.counterexample == (wrong[0] if wrong else None)
 
 
+def assert_every_split_gives_the_forward_table(p):
+    """``core._split_table`` at every cut ``h`` against ``h = n``, which is
+    plain forward doubling: exactly for the classical kinds, within 1e-12
+    for the vector kinds, and never below 0."""
+    forward = core._split_table(p, p.n)
+    assert forward.shape == (1 << p.n,)
+    for h in range(p.n + 1):
+        table = core._split_table(p, h)
+        assert table.min() >= 0
+        if p.kind in ("deterministic", "nondeterministic"):
+            assert np.array_equal(table, forward)
+        else:
+            np.testing.assert_allclose(table, forward, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("program", [
     build_det_notpal(9),
     build_nobdd_noto_fingerprint(4, 9),
     lift_deterministic(build_det_mod(3, 9)),
     build_quantum_partialmod(1, 9),
 ], ids=lambda p: p.kind)
-def test_chunked_acceptance_table_matches_unchunked(program, monkeypatch):
-    whole = acceptance_table(program)
-    monkeypatch.setattr(core, "_CHUNK_LEVELS", 3)
-    np.testing.assert_allclose(acceptance_table(program), whole, rtol=0, atol=1e-12)
+def test_every_split_point_gives_the_forward_table(program):
+    assert_every_split_gives_the_forward_table(program)
+
+
+@given(st.sampled_from(KINDS).flatmap(programs))
+@settings(max_examples=120, deadline=None)
+def test_every_split_point_gives_the_forward_table_under_any_order(p):
+    assert_every_split_gives_the_forward_table(p)
+    empty = ObddProgram(kind=p.kind, order=p.order, widths=p.widths, levels=p.levels,
+                        initial=p.initial, accept=frozenset())
+    assert_every_split_gives_the_forward_table(empty)
 
 
 @given(small_nobdds())
