@@ -48,9 +48,10 @@ successor list (deterministic), one target bitmask per (symbol, node)
 views (the vector kinds), and each step reads only the symbol's part.
 The compiled levels are memoized on the immutable program; a distinct
 level costs two lists of ``w_in`` Python ints (successors, or masks of
-``w_out`` bits), or two views that copy nothing.  The stable search of :mod:`obddlab.oracles` steps bit-planes,
-the reachable sets of 64 candidate programs per machine word, with its
-own AND and OR, not through either.
+``w_out`` bits), or two views that copy nothing.  The stable search of
+:mod:`obddlab.oracles` steps bit-planes, the reachable sets of 64
+candidate programs per machine word, with its own AND and OR, not
+through either.
 
 A program is *stable* when every level carries the identical transition
 pair, and *ID* when its order is the natural one; a stable ID program of

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -447,17 +448,13 @@ def test_nondeterministic_cutoff_must_lie_in_zero_one(cutoff):
         AcceptanceMode.nondeterministic(cutoff)
 
 
-def _empty_accept(p):
-    return ObddProgram(kind=p.kind, order=p.order, widths=p.widths, levels=p.levels,
-                       initial=p.initial, accept=frozenset(), stable=p.stable)
-
-
 @pytest.mark.parametrize("build, mode", [
     (build_det_notpal, AcceptanceMode.deterministic()),
     (lambda n: build_nobdd_noto_fingerprint(8, n), AcceptanceMode.nondeterministic()),
     (lambda n: lift_deterministic(build_det_counter(3, n)), AcceptanceMode.exact()),
     (lambda n: build_quantum_partialmod(1, n), AcceptanceMode.exact()),
-    (lambda n: _empty_accept(build_quantum_partialmod(1, n)), AcceptanceMode.exact()),
+    (lambda n: replace(build_quantum_partialmod(1, n), accept=frozenset()),
+     AcceptanceMode.exact()),
 ], ids=["det_notpal", "nobdd_noto", "lifted_counter", "quantum_partialmod", "quantum_empty"])
 def test_acceptance_table_at_n20_agrees_with_simulate_and_computes(build, mode):
     n = 20
