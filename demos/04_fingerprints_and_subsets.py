@@ -10,6 +10,7 @@ from obddlab import (
     node_trace,
     nobdd_to_obdd_subset,
     program_width,
+    reachable_widths,
     simulate,
 )
 from obddlab.constructions import (
@@ -39,7 +40,7 @@ print()
 print("== determinizing the guess ==")
 d = nobdd_to_obdd_subset(p)
 print("subset-construction width:", program_width(d).max_width,
-      "(reachable per level:", program_width(d).reachable_per_level, ")")
+      "(reachable per level:", reachable_widths(d).per_level, ")")
 agree = all(
     simulate(d, format(i, f"0{n}b")) == simulate(p, format(i, f"0{n}b"))
     for i in range(1 << n)

@@ -16,7 +16,6 @@ from .core import (
     NotStableError,
     ObddError,
     ObddProgram,
-    ProgramWidths,
     StateVector,
     ValidationReport,
     VariableOrder,
@@ -33,6 +32,7 @@ from .core import (
     pairing_order,
     program_width,
     programs_structurally_equal,
+    reachable_widths,
     simulate,
     stable_symbol_chain,
     state_trace,

@@ -260,8 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("report", help="emit a separation/hierarchy table")
     r.add_argument("--task", required=True, choices=list(REPORT_TASKS))
-    for name in ("k", "n", "d", "d-min", "d-max"):
-        r.add_argument(f"--{name}", type=int, default=None)
+    # one option per parameter name of any task (_cmd_report)
+    for name in dict.fromkeys(name for task in REPORT_TASKS.values()
+                              for name in inspect.signature(task).parameters):
+        r.add_argument(f"--{name.replace('_', '-')}", type=int, default=None)
     r.add_argument("--format", default="md", choices=["md", "csv"])
     r.add_argument("--out", default=None)
     r.set_defaults(run=_cmd_report)

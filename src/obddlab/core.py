@@ -38,14 +38,15 @@ symbols; a state is a node index, a reachable-set row or a state-vector
 row.  :func:`acceptance_table` (and with it :func:`computes`) runs it on
 all ``2**(n // 2)`` prefixes by prefix doubling and meets them with the
 values of the middle level's nodes on all suffixes, which one backward
-pass over the same source-major rows builds; reachability runs it on
-reachable sets, validation of the vector kinds on the basis states and
-the subset construction on subset rows.  :func:`simulate` and the traces
-follow one input's path instead, through :func:`_walk`: each distinct
-level object is compiled once per program, on first use, into a Python
-successor list (deterministic), one target bitmask per (symbol, node)
-(nondeterministic; a reachable set is a Python int) or a pair of matrix
-views (the vector kinds), and each step reads only the symbol's part.
+pass over the same source-major rows builds; :func:`reachable_widths`
+runs it on reachable sets and the subset construction on subset rows,
+while validation reads the stored rows, which are the nodes' images.
+:func:`simulate` and the traces follow one input's path instead, through
+:func:`_walk`: each distinct level object is compiled once per program,
+on first use, into a Python successor list (deterministic), one target
+bitmask per (symbol, node) (nondeterministic; a reachable set is a Python
+int) or a pair of matrix views (the vector kinds), and each step reads
+only the symbol's part.
 The compiled levels are memoized on the immutable program; a distinct
 level costs two lists of ``w_in`` Python ints (successors, or masks of
 ``w_out`` bits), or two views that copy nothing.  The stable search of
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
@@ -144,7 +145,7 @@ class VariableOrder:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        object.__setattr__(self, "perm", tuple(map(int, self.perm)))
+        object.__setattr__(self, "perm", _integers("perm", self.perm))
         if sorted(self.perm) != list(range(self.n)):
             raise ValueError(f"perm {self.perm} is not a permutation of 0..{self.n - 1}")
 
@@ -207,6 +208,23 @@ def _first_non_integer(values: list) -> int | None:
         return None
     return next(i for i, u in enumerate(values)
                 if isinstance(u, bool) or not isinstance(u, (int, np.integer)))
+
+
+def _integers(what: str, values: Iterable) -> tuple[int, ...]:
+    """``values`` as ints; ValueError naming ``what`` if a cast fails or
+    changes a value (it would truncate a float or parse a string), or a
+    value is a bool (read as 0 or 1).  Plain ints, the usual case, skip
+    the cast: the check then costs nothing."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values or not {bool, np.bool_}.isdisjoint(map(type, values)):
+        raise ValueError(f"{what} must be integral, got {', '.join(map(repr, values))}")
+    return ints
 
 
 def level_map(on0: Iterable[int], on1: Iterable[int]) -> np.ndarray:
@@ -320,7 +338,9 @@ class ObddProgram:
     stable: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(map(int, self.widths)))
+        object.__setattr__(self, "widths", _integers("level widths", self.widths))
+        object.__setattr__(self, "accept", frozenset(_integers("accepting nodes", self.accept)))
+        object.__setattr__(self, "initial", _integers("initial node", (self.initial,))[0])
         # levels are kept source-major (module docstring), which the
         # kernel reads without a copy, and read-only, so that the memos
         # below stay true; each distinct object is converted once, so a
@@ -331,7 +351,6 @@ class ObddProgram:
                 a = np.asarray(t)
                 arrays[id(t)] = _source_major(a) if a.ndim in (2, 3) else a
         object.__setattr__(self, "levels", tuple(map(arrays.__getitem__, map(id, self.levels))))
-        object.__setattr__(self, "accept", frozenset(map(int, self.accept)))
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
 
@@ -469,7 +488,7 @@ MODE_KINDS = {
 def _advance(t: np.ndarray, states: np.ndarray) -> np.ndarray:
     """The batch ``states`` after one level, on symbol 0 and on symbol 1.
 
-    This is the only code that applies a transition to a batch.  States
+    The only forward batch step (:func:`_split_table` steps back).  States
     are node indices ``int[B]`` (deterministic), reachable-set rows
     ``bool[B, w_in]`` or vector rows ``float/complex[B, w_in]``; the result
     stacks the two successor batches, of shape ``(2, B)`` or
@@ -490,15 +509,11 @@ def _advance(t: np.ndarray, states: np.ndarray) -> np.ndarray:
     return images.reshape(len(states), 2, -1).swapaxes(0, 1)
 
 
-def _basis(kind: str, w: int) -> np.ndarray:
-    """The batch of all ``w`` single-node states of a level."""
-    if kind == "deterministic":
-        return np.arange(w)
-    return np.eye(w, dtype=_STATE_DTYPES[kind])
-
-
 def _start(p: "ObddProgram") -> np.ndarray:
-    return _basis(p.kind, p.widths[0])[[p.initial]]
+    """The batch of one start state: the initial node, or its basis row."""
+    if p.kind == "deterministic":
+        return np.array([p.initial])
+    return np.eye(1, p.widths[0], p.initial, dtype=_STATE_DTYPES[p.kind])
 
 
 def _double(levels: Sequence[np.ndarray], states: np.ndarray) -> np.ndarray:
@@ -570,7 +585,7 @@ def _check_level(kind: str, j: int, t: np.ndarray, w_in: int, w_out: int, out: l
             elif not (np.abs(t[sym]) <= 1 + STRUCT_TOL).all():
                 out.append(f"level {j} symbol {sym}: entries of modulus above 1")
         return
-    images = _advance(t, _basis(kind, w_in))  # images[sym, s]: node s after sym
+    images = t.transpose(0, 2, 1)  # images[sym, s]: node s after sym
     if kind == "probabilistic":
         for sym in np.flatnonzero((images < -STRUCT_TOL).any(axis=(1, 2))):
             out.append(f"level {j} symbol {sym}: negative entries")
@@ -692,7 +707,7 @@ def _walk(p: ObddProgram, bits: Bits) -> list:
                 reach ^= low
             path.append(image)
     else:
-        path = [_basis(p.kind, p.widths[0])[p.initial]]
+        path = [_start(p)[0]]
         for level, sym in zip(steps, symbols):
             path.append(path[-1] @ level[sym])
     return path
@@ -858,49 +873,53 @@ def computes(p: ObddProgram, f, mode: AcceptanceMode) -> ComputesResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProgramWidths:
-    """Level sizes of a program, plus (for the classical kinds) the sizes
-    counting only nodes reachable from the initial node, counted when
-    first read."""
+class WidthReport:
+    """Per-level width values with provenance.
+
+    ``kind`` is ``exact`` (a true minimal width), ``lower_bound`` (no
+    correct program can be narrower) or ``construction`` (widths of a
+    concrete program; ``method`` says which).
+    """
 
     per_level: tuple[int, ...]
-    program: ObddProgram = field(repr=False, compare=False)
+    kind: str
+    method: str
+    order: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("exact", "lower_bound", "construction"):
+            raise ValueError(f"unknown report kind {self.kind!r}")
 
     @property
     def max_width(self) -> int:
         return max(self.per_level)
 
-    @cached_property
-    def reachable_per_level(self) -> tuple[int, ...] | None:
-        p = self.program
-        if p.kind not in ("deterministic", "nondeterministic"):
-            return None
-        reach = _start(p)
-        counts = [1]
-        for t in p.levels:
-            images = _advance(t, reach)
-            if p.kind == "deterministic":
-                reach = np.flatnonzero(np.bincount(images.ravel()))  # node indices
-                counts.append(reach.size)
-            else:
-                reach = images.any(axis=(0, 1))[None]   # one reachable-set row
-                counts.append(int(reach.sum()))
-        return tuple(counts)
 
-    @property
-    def reachable_max(self) -> int | None:
-        return max(self.reachable_per_level) if self.reachable_per_level else None
-
-
-def program_width(p: ObddProgram) -> ProgramWidths:
-    """Level widths ``w[0..n]`` and their maximum.
-
-    The maximum is taken over all levels including level 0, and it is
-    the width reports quote.  For the classical kinds the nodes reachable
-    from the initial node are counted per level as well, on first read.
-    """
+def program_width(p: ObddProgram) -> WidthReport:
+    """The level sizes ``w[0..n]`` of a valid program; the report's
+    ``max_width``, over every level including level 0, is the width
+    reports quote."""
     p.require_valid()
-    return ProgramWidths(per_level=p.widths, program=p)
+    return WidthReport(p.widths, "construction", "level sizes", p.order.perm)
+
+
+def reachable_widths(p: ObddProgram) -> WidthReport:
+    """How many nodes per level some input reaches in a valid classical
+    program, by stepping reachable sets through the batch kernel."""
+    if p.kind not in ("deterministic", "nondeterministic"):
+        raise ValueError("reachable_widths applies to deterministic/nondeterministic programs")
+    p.require_valid()
+    reach = _start(p)
+    counts = [1]
+    for t in p.levels:
+        images = _advance(t, reach)
+        if p.kind == "deterministic":
+            reach = np.flatnonzero(np.bincount(images.ravel()))  # node indices
+            counts.append(reach.size)
+        else:
+            reach = images.any(axis=(0, 1))[None]   # one reachable-set row
+            counts.append(int(reach.sum()))
+    return WidthReport(tuple(counts), "construction", "reachable nodes", p.order.perm)
 
 
 # ---------------------------------------------------------------------------

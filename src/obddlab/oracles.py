@@ -102,6 +102,7 @@ from .core import (
     CapExceededError,
     ObddProgram,
     VariableOrder,
+    WidthReport,
     cube_transpose,
     level_map,
     level_relation,
@@ -145,29 +146,6 @@ class PrefixClass:
     @property
     def star_mask(self) -> bytes:
         return (self.row == STAR).tobytes()
-
-
-@dataclass(frozen=True)
-class WidthReport:
-    """Per-level width values with provenance.
-
-    ``kind`` is ``exact`` (a true minimal width), ``lower_bound`` (no
-    correct program can be narrower) or ``construction`` (level sizes of a
-    concrete program).
-    """
-
-    per_level: tuple[int, ...]
-    kind: str
-    method: str
-    order: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "lower_bound", "construction"):
-            raise ValueError(f"unknown report kind {self.kind!r}")
-
-    @property
-    def max_width(self) -> int:
-        return max(self.per_level)
 
 
 # ---------------------------------------------------------------------------

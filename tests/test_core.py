@@ -11,6 +11,7 @@ from obddlab import (
     ModeKindMismatchError,
     NotStableError,
     ObddProgram,
+    VariableOrder,
     acceptance_table,
     computes,
     core,
@@ -25,6 +26,7 @@ from obddlab import (
     pairing_order,
     program_width,
     programs_structurally_equal,
+    reachable_widths,
     simulate,
     stable_symbol_chain,
     state_trace,
@@ -166,6 +168,43 @@ def test_out_of_range_targets_accept_and_initial_are_reported():
     assert "maps to 5" in text
     assert "initial node 3" in text
     assert "accepting nodes [7]" in text
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: VariableOrder(2, (0, 1.5)), r"^perm must be integral, got 0, 1\.5$"),
+    (lambda: VariableOrder(2, (True, 0)), r"^perm must be integral, got True, 0$"),
+    (lambda: VariableOrder(2, ("0", 1)), r"^perm must be integral, got '0', 1$"),
+    (lambda: ObddProgram(
+        kind="deterministic", order=natural_order(2), widths=(2, 2.7, 2),
+        levels=(level_map([0, 1], [1, 0]),) * 2, initial=0, accept={0},
+    ), r"^level widths must be integral, got 2, 2\.7, 2$"),
+    (lambda: ObddProgram(
+        kind="deterministic", order=natural_order(1), widths=(2, 2),
+        levels=(level_map([0, 1], [1, 0]),), initial=0, accept={0.5},
+    ), r"^accepting nodes must be integral, got 0\.5$"),
+    (lambda: ObddProgram(
+        kind="deterministic", order=natural_order(1), widths=(2, 2),
+        levels=(level_map([0, 1], [1, 0]),), initial=0.5, accept={0},
+    ), r"^initial node must be integral, got 0\.5$"),
+    (lambda: ObddProgram(
+        kind="probabilistic", order=natural_order(1), widths=(2, 2),
+        levels=(level_stochastic(np.eye(2), np.eye(2)),), initial=True, accept={0},
+    ), r"^initial node must be integral, got True$"),
+], ids=["perm", "bool perm", "string perm", "widths", "accept", "initial", "bool initial"])
+def test_non_integral_order_widths_and_nodes_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_integral_widths_and_nodes_are_stored_as_int():
+    p = ObddProgram(
+        kind="deterministic", order=VariableOrder(2, (np.int64(1), 0.0)),
+        widths=(np.int64(2), 2.0, 2), levels=(level_map([0, 1], [1, 0]),) * 2,
+        initial=np.int32(1), accept={np.int64(0), 1.0},
+    )
+    for values in (p.order.perm, p.widths, p.accept, [p.initial]):
+        assert {type(v) for v in values} == {int}
+    assert (p.order.perm, p.widths, p.accept, p.initial) == ((1, 0), (2, 2, 2), {0, 1}, 1)
 
 
 def test_false_stable_flag_is_reported():
@@ -498,8 +537,28 @@ def test_reachable_width_counts_only_reachable_nodes():
     widths = program_width(build_det_notpal(6))
     assert widths.max_width == 3
     # the absorbing accept node is not reachable before the second level
-    assert widths.reachable_per_level[1] == 2
-    assert widths.reachable_max == 3
+    assert reachable_widths(build_det_notpal(6)).per_level[1] == 2
+    assert reachable_widths(build_det_notpal(6)).max_width == 3
+
+
+def test_program_widths_are_a_construction_report():
+    from obddlab.oracles import WidthReport
+    p = build_det_mod(3, 6)
+    for report in (program_width(p), reachable_widths(p)):
+        assert type(report) is WidthReport is core.WidthReport
+        assert report.kind == "construction"
+        assert report.order == p.order.perm
+    assert program_width(p).per_level == p.widths
+    assert program_width(p).method == "level sizes"
+
+
+@pytest.mark.parametrize("p", [
+    lift_deterministic(build_det_mod(3, 6)), build_quantum_partialmod(1, 6),
+], ids=lambda p: p.kind)
+def test_reachable_widths_refuse_the_vector_kinds(p):
+    with pytest.raises(ValueError, match="^reachable_widths applies to deterministic/"
+                                         "nondeterministic programs$"):
+        reachable_widths(p)
 
 
 # ---------------------------------------------------------------------------

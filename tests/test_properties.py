@@ -28,6 +28,7 @@ from obddlab import (
     node_trace,
     program_width,
     programs_structurally_equal,
+    reachable_widths,
     simulate,
     state_trace,
     validate_program,
@@ -310,6 +311,16 @@ def test_walk_refuses_invalid_programs_and_bad_bits(p, data):
         with pytest.raises(ValueError, match=f"^input {re.escape(repr(bad))} contains "
                                              "non-binary symbols$"):
             run(p, bad)
+
+
+@given(st.sampled_from(["deterministic", "nondeterministic"]).flatmap(programs))
+@settings(max_examples=80, deadline=None)
+def test_reachable_widths_count_the_nodes_some_input_visits(p):
+    visited = [set() for _ in range(p.n + 1)]
+    for bits in all_inputs(p.n):
+        for seen, at in zip(visited, node_trace(p, bits)):
+            seen.update(at if p.kind == "nondeterministic" else [at])
+    assert reachable_widths(p).per_level == tuple(map(len, visited))
 
 
 @given(programs("deterministic", min_n=2), st.data())
