@@ -94,6 +94,14 @@ def primes_for_fingerprint(bound: int, odd_only: bool = False) -> PrimeBasis:
 # counting programs
 # ---------------------------------------------------------------------------
 
+def _rotation(angle: float) -> np.ndarray:
+    """The unitary that turns the state plane by ``angle``."""
+    return np.array([
+        [math.cos(angle), -math.sin(angle)],
+        [math.sin(angle), math.cos(angle)],
+    ], dtype=complex)
+
+
 def build_quantum_partialmod(k: int, n: int) -> ObddProgram:
     """Width-2 stable quantum ID program for ``PartialMOD(k, n)``, exact.
 
@@ -104,12 +112,7 @@ def build_quantum_partialmod(k: int, n: int) -> ObddProgram:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    theta = math.pi / (1 << (k + 1))
-    rot = np.array([
-        [math.cos(theta), -math.sin(theta)],
-        [math.sin(theta), math.cos(theta)],
-    ], dtype=complex)
-    t = level_unitary(np.eye(2, dtype=complex), rot)
+    t = level_unitary(np.eye(2, dtype=complex), _rotation(math.pi / (1 << (k + 1))))
     return _stable_program("quantum", n, t, {0})
 
 
@@ -169,7 +172,7 @@ def _layered(kind: str, order: VariableOrder, layers, steps, accept) -> ObddProg
         levels.append(arrays[key])
     final = numbers[id(layers[-1])]
     return ObddProgram(kind=kind, order=order, widths=tuple(map(len, layers)),
-                       levels=tuple(levels), initial=0, stable=False,
+                       levels=tuple(levels), initial=0,
                        accept=frozenset(final[label] for label in accept))
 
 
@@ -358,12 +361,5 @@ def build_quantum_nondet_noto(n: int) -> ObddProgram:
     if n < 1:
         raise ValueError("n must be >= 1")
     phi = math.pi / (n + 1)
-
-    def rotation(angle: float) -> np.ndarray:
-        return np.array([
-            [math.cos(angle), -math.sin(angle)],
-            [math.sin(angle), math.cos(angle)],
-        ], dtype=complex)
-
-    t = level_unitary(rotation(-phi), rotation(phi))
+    t = level_unitary(_rotation(-phi), _rotation(phi))
     return _stable_program("quantum", n, t, {1})

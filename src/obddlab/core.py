@@ -56,7 +56,8 @@ through either.
 
 A program is *stable* when every level carries the identical transition
 pair, and *ID* when its order is the natural one; a stable ID program of
-fixed width behaves like a realtime finite automaton.
+fixed width behaves like a realtime finite automaton.  Both are read off
+the program, as ``p.stable`` and ``p.order.is_id``; neither is set.
 
 All program objects are immutable; every operation here is a pure function
 of its inputs.
@@ -143,6 +144,7 @@ class VariableOrder:
     perm: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integers("n", (self.n,))[0])
         if self.n < 1:
             raise ValueError("n must be positive")
         object.__setattr__(self, "perm", _integers("perm", self.perm))
@@ -250,6 +252,7 @@ def level_relation(on0: Iterable[Iterable[int]], on1: Iterable[Iterable[int]],
     target-set lists; ``width`` is the size of the target level.  A target
     that is not an integer, or not in ``0..width - 1``, raises ValueError
     naming the first in (symbol, source, listed) order."""
+    width = _integers("width", (width,))[0]
     per_symbol = list(map(list, on0)), list(map(list, on1))
     if len(per_symbol[0]) != len(per_symbol[1]):
         raise ValueError("symbol transitions disagree in source dimension")
@@ -325,8 +328,9 @@ class ObddProgram:
         Start node in level 0 (a basis state for the vector kinds).
     accept : frozenset of int
         Accepting nodes in the final level.
-    stable : bool
-        Claim that all levels carry one identical transition pair.
+
+    :attr:`stable` is not a parameter: it is read off the widths and the
+    levels.
     """
 
     kind: str
@@ -335,7 +339,6 @@ class ObddProgram:
     levels: tuple[np.ndarray, ...]
     initial: int
     accept: frozenset[int]
-    stable: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "widths", _integers("level widths", self.widths))
@@ -361,6 +364,15 @@ class ObddProgram:
     def level(self, j: int) -> np.ndarray:
         """Transition array applied at step ``j`` (1-based)."""
         return self.levels[j - 1]
+
+    @cached_property
+    def stable(self) -> bool:
+        """Every level carries one transition pair: the ``n + 1`` widths are
+        equal, and every level is array-equal to level 1 (a level that is
+        level 1's own array object is not compared)."""
+        levels = self.levels
+        return len(set(self.widths)) == 1 and all(
+            t is levels[0] or np.array_equal(levels[0], t) for t in levels[1:])
 
     @cached_property
     def _validation(self) -> ValidationReport:
@@ -392,7 +404,6 @@ def _stable_program(kind: str, n: int, level: np.ndarray, accept: Iterable[int])
         levels=(level,) * n,
         initial=0,
         accept=frozenset(accept),
-        stable=True,
     )
 
 
@@ -401,7 +412,11 @@ class StateVector:
     """Distribution (probabilistic) or amplitude vector (quantum) over a level."""
 
     entries: np.ndarray
-    quantum: bool
+
+    @property
+    def quantum(self) -> bool:
+        """Amplitudes, not probabilities: the entries are complex."""
+        return np.iscomplexobj(self.entries)
 
     def normalization_defect(self) -> float:
         if self.quantum:
@@ -608,8 +623,8 @@ def validate_program(p: ObddProgram) -> ValidationReport:
     Returns a report listing violations: transition arrays of the wrong
     dtype or shape, non-finite entries or entries of modulus above 1,
     out-of-range targets,
-    non-stochastic columns, non-unitary matrices, out-of-range initial or
-    accepting nodes, and a stable flag set on a non-stable program.
+    non-stochastic columns, non-unitary matrices, and out-of-range initial
+    or accepting nodes.
     """
     out: list[str] = []
     n = p.n
@@ -636,14 +651,6 @@ def validate_program(p: ObddProgram) -> ValidationReport:
             _check_level(p.kind, j, t, w_in, w_out, out)
             if len(out) == found:
                 clean.add(key)
-    if p.stable:
-        if len(set(p.widths)) != 1:
-            out.append("stable flag set but level widths vary")
-        first = p.levels[0]
-        for j in range(2, n + 1):
-            if p.level(j) is not first and not np.array_equal(first, p.level(j)):
-                out.append(f"stable flag set but level {j} differs from level 1")
-                break
     return ValidationReport(tuple(out))
 
 
@@ -652,15 +659,21 @@ def validate_program(p: ObddProgram) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def parse_bits(bits: Bits, n: int | None = None) -> tuple[int, ...]:
-    """Normalize '0101' / [0,1,0,1] to a tuple of ints, checking length."""
+    """Normalize '0101' / [0,1,0,1] to a tuple of ints, checking length.
+    A sequence entry must equal its ``int`` cast (bools and numpy integers
+    do), so that no float is truncated and no string parsed."""
     if isinstance(bits, str):
         try:
             vals = tuple(map({"0": 0, "1": 1}.__getitem__, bits))
         except KeyError:
             raise ValueError(f"input {bits!r} contains non-binary symbols") from None
     else:
-        vals = tuple(map(int, bits))
-        if not {0, 1}.issuperset(vals):
+        bits = tuple(bits)
+        try:
+            vals = tuple(map(int, bits))
+        except (TypeError, ValueError):
+            vals = None
+        if vals != bits or not {0, 1}.issuperset(vals):
             raise ValueError("input bits must be 0 or 1")
     if n is not None and len(vals) != n:
         raise ValueError(f"input length {len(vals)} != n = {n}")
@@ -744,8 +757,7 @@ def state_trace(p: ObddProgram, bits: Bits) -> list[StateVector]:
     """Per-level state vectors ``v^0 .. v^n`` for the vector kinds."""
     if p.kind not in ("probabilistic", "quantum"):
         raise ValueError("state_trace applies to probabilistic/quantum programs")
-    quantum = p.kind == "quantum"
-    return [StateVector(v, quantum) for v in _walk(p, bits)]
+    return [StateVector(v) for v in _walk(p, bits)]
 
 
 def node_trace(p: ObddProgram, bits: Bits) -> list:
@@ -836,9 +848,13 @@ def _split_table(p: ObddProgram, h: int) -> np.ndarray:
 class ComputesResult:
     """Verdict of :func:`computes`: yes, or no with a witness input."""
 
-    ok: bool
     counterexample: str | None = None
     reason: str = ""
+
+    @property
+    def ok(self) -> bool:
+        """Yes: no input is a counterexample."""
+        return self.counterexample is None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -862,9 +878,9 @@ def computes(p: ObddProgram, f, mode: AcceptanceMode) -> ComputesResult:
     wrong = np.flatnonzero(((table == 1) & ~mode.accepts_yes(prob))
                            | ((table == 0) & ~mode.accepts_no(prob)))
     if wrong.size == 0:
-        return ComputesResult(True)
+        return ComputesResult()
     i = int(wrong[0])
-    return ComputesResult(False, format(i, f"0{p.n}b"),
+    return ComputesResult(format(i, f"0{p.n}b"),
                           f"f = {table[i]} but acceptance {prob[i]:.6g}")
 
 
@@ -972,7 +988,6 @@ def nobdd_to_obdd_subset(p: ObddProgram) -> ObddProgram:
         levels=tuple(maps),
         initial=0,
         accept=frozenset(accept.tolist()),
-        stable=False,
     )
 
 
@@ -1004,7 +1019,6 @@ def lift_deterministic(p: ObddProgram) -> ObddProgram:
         levels=tuple(lifted[id(t), w] for t, w in zip(p.levels, p.widths[1:])),
         initial=p.initial,
         accept=p.accept,
-        stable=p.stable,
     )
 
 
@@ -1015,7 +1029,7 @@ def stable_symbol_chain(p: ObddProgram, symbol: int) -> np.ndarray:
     if symbol not in (0, 1):
         raise ValueError("symbol must be 0 or 1")
     if not p.stable:
-        raise NotStableError("program is not stable: levels differ")
+        raise NotStableError("program is not stable: its level widths or transitions differ")
     if p.kind not in ("deterministic", "probabilistic"):
         raise ValueError(f"symbol chain is defined for classical chains, not {p.kind}")
     p.require_valid()
@@ -1027,8 +1041,8 @@ def programs_structurally_equal(a: ObddProgram, b: ObddProgram) -> bool:
     """Field-by-field equality (exact array comparison of the levels).  Each
     distinct pair of level objects is compared once, and an object equals
     itself."""
-    if (a.kind, a.order, a.widths, a.initial, a.accept, a.stable) != (
-        b.kind, b.order, b.widths, b.initial, b.accept, b.stable
+    if (a.kind, a.order, a.widths, a.initial, a.accept) != (
+        b.kind, b.order, b.widths, b.initial, b.accept
     ):
         return False
     pairs = {(id(x), id(y)): (x, y) for x, y in zip(a.levels, b.levels) if x is not y}

@@ -2,9 +2,10 @@
 
 Each family comes as a :class:`FunctionSpec`: a (possibly partial) function
 from n-bit strings to {0, 1, undefined}, with the parameter ``k`` where one
-applies and with symmetry metadata.  Undefined inputs (the promise setting)
-are reported as ``None`` by evaluators and as the code ``2`` in truth
-tables.
+applies.  Undefined inputs (the promise setting) are reported as ``None``
+by evaluators and as the code ``2`` in truth tables.  The sizes ``n`` and
+``k`` must be integral: a bool, or a float such as 2.5, raises ValueError,
+and 6.0 reads as 6.
 
 The first six families count: each is its rule, the value at each number
 of ones among the bits it counts (all ``n``, or the first ``k`` for
@@ -39,7 +40,7 @@ from typing import Callable, IO, Iterable, Sequence
 
 import numpy as np
 
-from .core import Bits, cube_transpose, parse_bits
+from .core import Bits, cube_transpose, parse_bits, _integers
 
 #: truth-table code for "function undefined here"
 STAR = 2
@@ -81,17 +82,14 @@ def split_marker_value(bits: Bits, k: int) -> MarkerValueSplit:
 class FunctionSpec:
     """A total or partial Boolean function on ``n``-bit inputs.
 
-    ``symmetry`` is ``"ones"`` when the value depends on the input only
-    through its number of ones, ``"prefix_ones"`` when it depends only on
-    the number of ones among the first ``k`` bits, and ``None`` otherwise.
     A counting family is its rule: ``_profile`` holds its value at each
-    count, and its evaluator and table read it.
+    count of ones among the bits it counts, and its evaluator and table
+    read it.
     """
 
     name: str
     n: int
     k: int | None
-    symmetry: str | None
     _evaluate: Callable[[tuple[int, ...]], int | None] = field(repr=False)
     _build_table: Callable[[], np.ndarray] = field(repr=False)
     _profile: tuple[int | None, ...] | None = field(default=None, repr=False)
@@ -124,8 +122,8 @@ class FunctionSpec:
     def count_profile(self) -> dict[int, int | None] | None:
         """Outcome per count class for the counting families, else None.
 
-        Keys run over 0..n ones for ``"ones"`` symmetry and over 0..k ones
-        within the examined prefix for ``"prefix_ones"``.
+        Keys run over 0..n ones for the families that count all ``n`` bits
+        and over 0..k ones in the first ``k`` bits for ``NotOk``.
         """
         return None if self._profile is None else dict(enumerate(self._profile))
 
@@ -159,12 +157,12 @@ def _table_from_prefix_values(n: int, k: int, prefix_values: np.ndarray) -> np.n
 # families
 # ---------------------------------------------------------------------------
 
-def _counting(name: str, n: int, k: int | None, symmetry: str, counted: int,
+def _counting(name: str, n: int, k: int | None, counted: int,
               value: Callable[[int], int | None]) -> FunctionSpec:
     """The member whose value is ``value(c)`` at ``c`` ones in its first ``counted`` bits."""
     profile = tuple(value(c) for c in range(counted + 1))
     return FunctionSpec(
-        name=name, n=n, k=k, symmetry=symmetry,
+        name=name, n=n, k=k,
         _evaluate=lambda x: profile[sum(x[:counted])],
         _build_table=lambda: _table_from_prefix_values(
             n, counted, _table_from_count_profile(counted, profile)),
@@ -174,46 +172,52 @@ def _counting(name: str, n: int, k: int | None, symmetry: str, counted: int,
 
 def partial_mod(k: int, n: int) -> FunctionSpec:
     """1 on inputs with ``#ones = 0 mod 2**(k+1)``, 0 at ``2**k``, else undefined."""
+    k, n = _integers("k and n", (k, n))
     if k < 0:
         raise ValueError("k must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _counting("PartialMOD", n, k, "ones", n, lambda m: {0: 1, 1 << k: 0}.get(m % (2 << k)))
+    return _counting("PartialMOD", n, k, n, lambda m: {0: 1, 1 << k: 0}.get(m % (2 << k)))
 
 
 def mod_count(k: int, n: int) -> FunctionSpec:
     """1 iff the number of ones is divisible by ``k`` (requires 1 < k <= n/2)."""
+    k, n = _integers("k and n", (k, n))
     if not 1 < k <= n // 2:
         raise ValueError(f"MOD needs 1 < k <= n/2, got k = {k}, n = {n}")
-    return _counting("MOD", n, k, "ones", n, lambda m: int(m % k == 0))
+    return _counting("MOD", n, k, n, lambda m: int(m % k == 0))
 
 
 def not_o(n: int) -> FunctionSpec:
     """0 iff ones and zeros balance (constant 1 for odd n)."""
+    n = _integers("n", (n,))[0]
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _counting("NotO", n, None, "ones", n, lambda m: int(2 * m != n))
+    return _counting("NotO", n, None, n, lambda m: int(2 * m != n))
 
 
 def not_o_prefix(k: int, n: int) -> FunctionSpec:
     """0 iff the first ``k`` bits hold exactly ``k/2`` ones (k even, 1 < k <= n)."""
+    k, n = _integers("k and n", (k, n))
     if k % 2 != 0 or not 1 < k <= n:
         raise ValueError(f"NotOk needs even k with 1 < k <= n, got k = {k}, n = {n}")
-    return _counting("NotOk", n, k, "prefix_ones", k, lambda m: int(2 * m != k))
+    return _counting("NotOk", n, k, k, lambda m: int(2 * m != k))
 
 
 def not_square(n: int) -> FunctionSpec:
     """0 iff ``#ones`` equals the square of ``#zeros``."""
+    n = _integers("n", (n,))[0]
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _counting("NotSQUARE", n, None, "ones", n, lambda m: int((n - m) ** 2 != m))
+    return _counting("NotSQUARE", n, None, n, lambda m: int((n - m) ** 2 != m))
 
 
 def not_power(n: int) -> FunctionSpec:
     """0 iff ``#ones`` equals ``2 ** (#zeros)``."""
+    n = _integers("n", (n,))[0]
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _counting("NotPOWER", n, None, "ones", n, lambda m: int(2 ** (n - m) != m))
+    return _counting("NotPOWER", n, None, n, lambda m: int(2 ** (n - m) != m))
 
 
 def _eqs_prefix_values(k: int) -> np.ndarray:
@@ -236,6 +240,7 @@ def _eqs_prefix_values(k: int) -> np.ndarray:
 
 def eqs(k: int, n: int) -> FunctionSpec:
     """Marker/value equality on the first ``k`` bits (k a multiple of 4, k <= n)."""
+    k, n = _integers("k and n", (k, n))
     if k % 4 != 0 or not 4 <= k <= n:
         raise ValueError(f"EQS needs k a multiple of 4 with 4 <= k <= n, got k = {k}, n = {n}")
 
@@ -244,7 +249,7 @@ def eqs(k: int, n: int) -> FunctionSpec:
         return int(s.alpha == s.beta)
 
     return FunctionSpec(
-        name="EQS", n=n, k=k, symmetry=None,
+        name="EQS", n=n, k=k,
         _evaluate=ev,
         _build_table=lambda: _table_from_prefix_values(n, k, _eqs_prefix_values(k)),
     )
@@ -254,7 +259,7 @@ def not_eqs(k: int, n: int) -> FunctionSpec:
     """The inversion of :func:`eqs`."""
     base = eqs(k, n)
     return FunctionSpec(
-        name="NotEQS", n=n, k=k, symmetry=None,
+        name="NotEQS", n=base.n, k=base.k,
         _evaluate=lambda x: 1 - base._evaluate(x),
         _build_table=lambda: (1 - base.truth_table()).astype(np.int8),
     )
@@ -262,6 +267,7 @@ def not_eqs(k: int, n: int) -> FunctionSpec:
 
 def not_pal(n: int) -> FunctionSpec:
     """1 iff the input differs from its reversal."""
+    n = _integers("n", (n,))[0]
     if n < 1:
         raise ValueError("n must be >= 1")
 
@@ -271,7 +277,7 @@ def not_pal(n: int) -> FunctionSpec:
         return (idx != cube_transpose(idx, tuple(reversed(range(n))))).astype(np.int8)
 
     return FunctionSpec(
-        name="NotPAL", n=n, k=None, symmetry=None,
+        name="NotPAL", n=n, k=None,
         _evaluate=lambda x: int(tuple(x) != tuple(reversed(x))),
         _build_table=build,
     )
@@ -343,7 +349,7 @@ def from_table(values: np.ndarray, name: str = "table") -> FunctionSpec:
         return None if v == STAR else v
 
     return FunctionSpec(
-        name=name, n=n, k=None, symmetry=None,
+        name=name, n=n, k=None,
         _evaluate=ev, _build_table=lambda: values,
     )
 

@@ -63,7 +63,10 @@ class MarkovDecomposition:
     ergodic_classes: tuple[frozenset[int], ...]
     periods: tuple[int, ...]
     cyclic_subsets: tuple[tuple[frozenset[int], ...], ...]
-    period_lcm: int
+
+    @property
+    def period_lcm(self) -> int:
+        return math.lcm(*self.periods)
 
     @property
     def states(self) -> int:
@@ -152,7 +155,6 @@ def classify_states(m: np.ndarray) -> MarkovDecomposition:
         ergodic_classes=tuple(classes),
         periods=tuple(periods),
         cyclic_subsets=tuple(subsets),
-        period_lcm=math.lcm(*periods),
     )
 
 

@@ -107,6 +107,7 @@ from .core import (
     level_map,
     level_relation,
     natural_order,
+    _integers,
     _stable_program,
 )
 from .functions import STAR, FunctionSpec, _profile_codes
@@ -603,7 +604,6 @@ def minimal_obdd(f: FunctionSpec, order: VariableOrder | None = None,
         levels=tuple(maps),
         initial=0,
         accept=frozenset(accept),
-        stable=False,
     )
 
 
@@ -637,7 +637,7 @@ def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str) -> ObddProg
         raise CapExceededError(f"stable search needs n <= {_STABLE_N_CAP}, got {n}")
     if kind not in _STABLE_WIDTH_CAP:
         raise ValueError(f"search supports classical kinds, not {kind!r}")
-    w = width
+    w = _integers("width", (width,))[0]
     if w < 1:
         raise ValueError("width must be >= 1")
     if w > _STABLE_WIDTH_CAP[kind]:
@@ -782,7 +782,7 @@ def min_width_over_orders(f: FunctionSpec) -> WidthReport:
     The table picks one of three paths, and ``method`` names it:
 
     * a table invariant under every order (:func:`_symmetric`, checked on
-      the table, never taken from ``f.symmetry``) gets one exact oracle
+      the table, never assumed from the family) gets one exact oracle
       call under the natural order, within that oracle's own caps;
     * a total table gets the bottleneck path over the ``2**n`` sets of
       variables (Friedman & Supowit, "Finding the optimal variable ordering

@@ -29,6 +29,10 @@ entries written ``re,im``.  Numbers use 17 significant digits, so float
 round trips are exact; classical programs round-trip bit-exactly.
 Decoding validates the program and reports the offending level; the
 verdict is kept on the program, so later checks on it do not repeat it.
+The ``stable`` line is written from :attr:`~obddlab.core.ObddProgram.stable`,
+which is read off the levels.  On decoding, ``stable 1`` is a claim that
+is checked once the program validates: levels that do not repeat one
+transition pair fail at the ``stable`` line.  ``stable 0`` claims nothing.
 
 Constructions repeat a few level arrays across many levels, and the codec
 keeps that sharing.  The encoder renders each distinct level object once
@@ -198,7 +202,9 @@ def decode_program(text: str) -> ObddProgram:
     and levels whose dense transition array would exceed
     ``_MAX_LEVEL_ENTRIES`` entries (rejected at the ``widths`` line, before
     any allocation); validation failures raise
-    :class:`~obddlab.core.InvalidProgramError` naming the level.
+    :class:`~obddlab.core.InvalidProgramError` naming the level.  A valid
+    program whose levels ``stable 1`` misdescribes raises
+    :class:`ProgramFormatError` at that line.
     """
     r = _Reader(text)
     lineno, line = r.next_line("header")
@@ -234,8 +240,9 @@ def decode_program(text: str) -> ObddProgram:
     lineno, toks = r.keyword("accept")
     accept = [] if toks == ["-"] else _ints(lineno, toks, "accept")
     stable = _int_line(r, "stable")
+    stable_line = r.lineno(r.pos - 1)
     if stable not in (0, 1):
-        raise ProgramFormatError(r.lineno(r.pos - 1), f"stable must be 0 or 1, got {stable}")
+        raise ProgramFormatError(stable_line, f"stable must be 0 or 1, got {stable}")
 
     # a payload is parsed the first time its text appears, and a level whose
     # two payloads repeat an earlier level's becomes that level's array
@@ -268,9 +275,12 @@ def decode_program(text: str) -> ObddProgram:
 
     p = ObddProgram(
         kind=kind, order=order, widths=tuple(widths), levels=tuple(levels),
-        initial=initial, accept=frozenset(accept), stable=bool(stable),
+        initial=initial, accept=frozenset(accept),
     )
     p.require_valid()
+    if stable and not p.stable:
+        raise ProgramFormatError(stable_line, "stable 1, but the levels are not one "
+                                              "repeated transition pair")
     return p
 
 

@@ -7,10 +7,12 @@ import pytest
 from obddlab import (
     AcceptanceMode,
     CapExceededError,
+    ComputesResult,
     InvalidProgramError,
     ModeKindMismatchError,
     NotStableError,
     ObddProgram,
+    StateVector,
     VariableOrder,
     acceptance_table,
     computes,
@@ -53,7 +55,7 @@ def identity_unitary_program(n=3, accept=(0,)):
     eye = level_unitary(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
     return ObddProgram(
         kind="quantum", order=natural_order(n), widths=(2,) * (n + 1),
-        levels=(eye,) * n, initial=0, accept=frozenset(accept), stable=True,
+        levels=(eye,) * n, initial=0, accept=frozenset(accept),
     )
 
 
@@ -174,6 +176,8 @@ def test_out_of_range_targets_accept_and_initial_are_reported():
     (lambda: VariableOrder(2, (0, 1.5)), r"^perm must be integral, got 0, 1\.5$"),
     (lambda: VariableOrder(2, (True, 0)), r"^perm must be integral, got True, 0$"),
     (lambda: VariableOrder(2, ("0", 1)), r"^perm must be integral, got '0', 1$"),
+    (lambda: VariableOrder(2.5, (0, 1)), r"^n must be integral, got 2\.5$"),
+    (lambda: VariableOrder(True, (0,)), r"^n must be integral, got True$"),
     (lambda: ObddProgram(
         kind="deterministic", order=natural_order(2), widths=(2, 2.7, 2),
         levels=(level_map([0, 1], [1, 0]),) * 2, initial=0, accept={0},
@@ -190,7 +194,9 @@ def test_out_of_range_targets_accept_and_initial_are_reported():
         kind="probabilistic", order=natural_order(1), widths=(2, 2),
         levels=(level_stochastic(np.eye(2), np.eye(2)),), initial=True, accept={0},
     ), r"^initial node must be integral, got True$"),
-], ids=["perm", "bool perm", "string perm", "widths", "accept", "initial", "bool initial"])
+    (lambda: level_relation([[0]], [[1]], 2.5), r"^width must be integral, got 2\.5$"),
+], ids=["perm", "bool perm", "string perm", "n", "bool n", "widths", "accept", "initial",
+        "bool initial", "relation width"])
 def test_non_integral_order_widths_and_nodes_are_refused(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -205,16 +211,6 @@ def test_integral_widths_and_nodes_are_stored_as_int():
     for values in (p.order.perm, p.widths, p.accept, [p.initial]):
         assert {type(v) for v in values} == {int}
     assert (p.order.perm, p.widths, p.accept, p.initial) == ((1, 0), (2, 2, 2), {0, 1}, 1)
-
-
-def test_false_stable_flag_is_reported():
-    levels = (level_map([0, 1], [1, 0]), level_map([1, 0], [1, 0]))
-    p = ObddProgram(
-        kind="deterministic", order=natural_order(2), widths=(2,) * 3,
-        levels=levels, initial=0, accept=frozenset({0}), stable=True,
-    )
-    report = validate_program(p)
-    assert any("stable flag" in v for v in report.violations)
 
 
 def test_kind_transition_shape_mismatch_is_reported():
@@ -337,7 +333,7 @@ def test_structural_equality_compares_each_level_of_a_repeated_array():
 def test_parse_bits_reads_strings_and_sequences():
     assert parse_bits("0110") == (0, 1, 1, 0)
     assert parse_bits("", 0) == ()
-    assert parse_bits([0, 1, True, np.int64(1), 0.0, "1"], 6) == (0, 1, 1, 1, 0, 1)
+    assert parse_bits([0, 1, True, np.int64(1), 0.0], 5) == (0, 1, 1, 1, 0)
     assert parse_bits(np.array([1, 0], dtype=np.int8)) == (1, 0)
     assert all(type(b) is int for b in parse_bits("01") + parse_bits(np.ones(2)))
     with pytest.raises(ValueError, match=r"^input '01b1' contains non-binary symbols$"):
@@ -348,6 +344,10 @@ def test_parse_bits_reads_strings_and_sequences():
         parse_bits([0, 1, 2])
     with pytest.raises(ValueError, match="^input bits must be 0 or 1$"):
         parse_bits([-1])
+    # an int cast would truncate 1.5 and parse "1"
+    for bits in ([0, 1.5], ["1", "0"], [None]):
+        with pytest.raises(ValueError, match="^input bits must be 0 or 1$"):
+            parse_bits(bits)
     for bits in ("010", [0, 1, 0]):
         with pytest.raises(ValueError, match=r"^input length 3 != n = 4$"):
             parse_bits(bits, 4)
@@ -445,7 +445,7 @@ def test_counterexample_outside_the_sorted_class_representatives():
     step = level_map([z0, z1, z0, z1, rej], [a1, a0, rej, rej, rej])
     p = ObddProgram(
         kind="deterministic", order=natural_order(4), widths=(5,) * 5,
-        levels=(step,) * 4, initial=a0, accept=frozenset({a0, z0}), stable=True,
+        levels=(step,) * 4, initial=a0, accept=frozenset({a0, z0}),
     )
     f = mod_count(2, 4)
     assert all(simulate(p, "1" * m + "0" * (4 - m)) == f("1" * m + "0" * (4 - m))
@@ -527,7 +527,7 @@ def test_program_width_examples():
     assert program_width(build_det_eqs(4, 8)).max_width == 11
     one = ObddProgram(
         kind="deterministic", order=natural_order(3), widths=(1,) * 4,
-        levels=(level_map([0], [0]),) * 3, initial=0, accept=frozenset({0}), stable=True,
+        levels=(level_map([0], [0]),) * 3, initial=0, accept=frozenset({0}),
     )
     assert program_width(one).max_width == 1
 
@@ -675,6 +675,42 @@ def test_stable_symbol_chain_of_counter_is_cyclic_shift():
         assert np.array_equal(stable_symbol_chain(p, 0), np.eye(4))
 
 
+def test_stability_is_read_off_the_levels():
+    t = level_map([1, 0], [0, 1])
+
+    def program(levels, widths):
+        return ObddProgram(kind="deterministic", order=natural_order(len(levels)),
+                           widths=widths, levels=levels, initial=0, accept=frozenset({0}))
+
+    shared = program((t,) * 3, (2,) * 4)
+    copies = program((t, np.array(t), level_map([1, 0], [0, 1])), (2,) * 4)
+    ragged = program((t, t), (2, 2, 3))  # one array, into widths 2 and 3
+    assert shared.stable and copies.stable and program((t,), (2, 2)).stable
+    assert validate_program(ragged).ok and not ragged.stable
+    assert not program((t, level_map([0, 0], [1, 1])), (2,) * 3).stable
+    # no flag is needed for the chain
+    for p in (shared, copies):
+        assert np.array_equal(stable_symbol_chain(p, 0), [[0, 1], [1, 0]])
+    with pytest.raises(NotStableError, match="widths or transitions differ"):
+        stable_symbol_chain(ragged, 0)
+    with pytest.raises(AttributeError):
+        shared.stable = False
+
+
+def test_derived_values_are_not_constructor_arguments():
+    t = level_map([0], [0])
+    with pytest.raises(TypeError):
+        ObddProgram(kind="deterministic", order=natural_order(1), widths=(1, 1), levels=(t,),
+                    initial=0, accept=frozenset({0}), stable=True)
+    with pytest.raises(TypeError):
+        ComputesResult(ok=True)
+    with pytest.raises(TypeError):
+        StateVector(np.ones(1), quantum=False)
+    assert ComputesResult().ok and not ComputesResult("0101", "f = 1 but acceptance 0").ok
+    assert StateVector(np.ones(1, dtype=complex)).quantum
+    assert not StateVector(np.ones(1)).quantum
+
+
 def test_stable_symbol_chain_requires_stable_classical_program():
     with pytest.raises(NotStableError):
         stable_symbol_chain(build_det_eqs(4, 8), 1)
@@ -699,7 +735,6 @@ def test_bounded_error_mode_thresholds():
     p = ObddProgram(
         kind="probabilistic", order=natural_order(2), widths=(2,) * 3,
         levels=(level_stochastic(m, m),) * 2, initial=0, accept=frozenset({0}),
-        stable=True,
     )
     assert simulate(p, "11") == pytest.approx(0.83, abs=1e-12)
     always_one = from_table(np.ones(4, dtype=np.int8))
@@ -733,7 +768,7 @@ def test_c_ordered_levels_are_stored_source_major(build):
     c_ordered = {id(t): np.ascontiguousarray(t) for t in p.levels}
     hand = ObddProgram(kind=p.kind, order=p.order, widths=p.widths,
                        levels=tuple(c_ordered[id(t)] for t in p.levels),
-                       initial=p.initial, accept=p.accept, stable=p.stable)
+                       initial=p.initial, accept=p.accept)
     assert all(t.flags.c_contiguous for t in c_ordered.values())
     # the source axis (the last) outermost in memory, then the symbol axis,
     # in the builders' arrays and in the converted copies alike
@@ -756,7 +791,7 @@ def test_a_program_owns_its_level_arrays():
     # can still write to it after the memos below are filled
     t = np.asfortranarray([[0, 1], [1, 0]])
     p = ObddProgram(kind="deterministic", order=natural_order(4), widths=(2,) * 5,
-                    levels=(t,) * 4, initial=0, accept=frozenset({0}), stable=True)
+                    levels=(t,) * 4, initial=0, accept=frozenset({0}))
     assert simulate(p, "1100") == 1.0
     assert not p.levels[0].flags.writeable
     t[1, 1] = 1

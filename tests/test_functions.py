@@ -90,7 +90,7 @@ def test_split_marker_value_parameter_checks():
 
 
 # ---------------------------------------------------------------------------
-# count profiles and symmetry metadata
+# count profiles
 # ---------------------------------------------------------------------------
 
 def test_mod_profile():
@@ -163,30 +163,46 @@ def test_count_profile_tables_index_the_codes_by_popcount(n):
 
 
 def _closed_forms(max_n):
-    """Every counting-family member at n <= max_n with its symmetry tag and
-    its value at m counted ones, the rules written out from the module
+    """Every counting-family member at n <= max_n with its number of
+    counted bits and its value at m counted ones, the rules written out from the module
     docstring; NotOk counts its first k bits, k = n included."""
     for n in range(1, max_n + 1):
         for k in range(n.bit_length() + 1):
-            yield partial_mod(k, n), "ones", n, \
+            yield partial_mod(k, n), n, \
                 lambda m, k=k: 1 if m % 2 ** (k + 1) == 0 else 0 if m % 2 ** (k + 1) == 2 ** k else None
         for k in range(2, n // 2 + 1):
-            yield mod_count(k, n), "ones", n, lambda m, k=k: int(m % k == 0)
-        yield not_o(n), "ones", n, lambda m, n=n: int(m != n - m)
+            yield mod_count(k, n), n, lambda m, k=k: int(m % k == 0)
+        yield not_o(n), n, lambda m, n=n: int(m != n - m)
         for k in range(2, n + 1, 2):
-            yield not_o_prefix(k, n), "prefix_ones", k, lambda m, k=k: int(m != k // 2)
-        yield not_square(n), "ones", n, lambda m, n=n: int(m != (n - m) ** 2)
-        yield not_power(n), "ones", n, lambda m, n=n: int(m != 2 ** (n - m))
+            yield not_o_prefix(k, n), k, lambda m, k=k: int(m != k // 2)
+        yield not_square(n), n, lambda m, n=n: int(m != (n - m) ** 2)
+        yield not_power(n), n, lambda m, n=n: int(m != 2 ** (n - m))
 
 
 def test_every_counting_member_has_its_closed_form_profile():
     seen = set()
-    for f, symmetry, counted, rule in _closed_forms(16):
+    for f, counted, rule in _closed_forms(16):
         want = {m: rule(m) for m in range(counted + 1)}
-        assert (f.symmetry, f.count_profile()) == (symmetry, want), (f.name, f.k, f.n)
+        assert f.count_profile() == want, (f.name, f.k, f.n)
         assert f.total == (None not in want.values())
         seen.add(f.name)
     assert seen == {"PartialMOD", "MOD", "NotO", "NotOk", "NotSQUARE", "NotPOWER"}
+
+
+@pytest.mark.parametrize("build, sizes", [
+    (partial_mod, (1, 6)), (mod_count, (3, 8)), (not_o, (6,)), (not_o_prefix, (4, 8)),
+    (not_square, (6,)), (not_power, (6,)), (eqs, (4, 8)), (not_eqs, (4, 8)), (not_pal, (6,)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_family_sizes_must_be_integral(build, sizes):
+    want = build(*sizes)
+    for i, size in enumerate(sizes):
+        for bad in (size + 0.5, True):
+            with pytest.raises(ValueError, match="must be integral"):
+                build(*sizes[:i], bad, *sizes[i + 1:])
+        # an integral float reads as its int
+        f = build(*sizes[:i], float(size), *sizes[i + 1:])
+        assert (f.n, f.k) == (want.n, want.k) and type(f.n) is int
+        assert np.array_equal(f.truth_table(), want.truth_table())
 
 
 # ---------------------------------------------------------------------------

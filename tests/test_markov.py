@@ -9,6 +9,7 @@ import pytest
 from obddlab import stable_symbol_chain
 from obddlab.constructions import build_det_counter, build_det_partialmod
 from obddlab.markov import (
+    MarkovDecomposition,
     classify_states,
     limiting_distribution,
     period_lcm_certificate,
@@ -52,6 +53,17 @@ def test_identity_matrix_gives_singleton_regular_classes():
 def test_empty_chain_has_no_classes():
     dec = classify_states(np.zeros((0, 0)))
     assert (dec.transient, dec.ergodic_classes, dec.period_lcm) == (frozenset(), (), 1)
+
+
+def test_period_lcm_is_read_off_the_periods():
+    dec = classify_states(np.eye(2))
+    with pytest.raises(TypeError):
+        MarkovDecomposition(dec.transient, dec.ergodic_classes, dec.periods, dec.cyclic_subsets,
+                            period_lcm=3)
+    dec = MarkovDecomposition(frozenset(), (frozenset({0, 1}), frozenset({2, 3, 4})), (2, 3),
+                              ((frozenset({0}), frozenset({1})),
+                               (frozenset({2}), frozenset({3}), frozenset({4}))))
+    assert dec.period_lcm == 6
 
 
 def test_two_cycle():

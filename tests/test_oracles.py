@@ -209,11 +209,19 @@ def test_stable_search_rejects_widths_below_1(width, kind):
         stable_exhaustive_search(partial_mod(1, 4), width, kind)
 
 
+@pytest.mark.parametrize("width", [2.5, True])
+def test_stable_search_refuses_non_integral_widths(width):
+    with pytest.raises(ValueError, match="^width must be integral"):
+        stable_exhaustive_search(partial_mod(0, 4), width, "deterministic")
+    found = stable_exhaustive_search(partial_mod(0, 4), 2.0, "deterministic")
+    assert found.widths == (2,) * 5
+
+
 def _untabled(n):
     """A function on ``n`` bits whose truth table may not be built."""
     def refuse():
         raise AssertionError("the truth table was built")
-    return FunctionSpec("untabled", n, None, None, lambda x: 0, refuse)
+    return FunctionSpec(name="untabled", n=n, k=None, _evaluate=lambda x: 0, _build_table=refuse)
 
 
 @pytest.mark.parametrize("cap, call", [
@@ -393,7 +401,8 @@ def test_profile_builder_matches_the_table_builder():
     rng = np.random.default_rng(3)
     members = list(symmetric_members(16))
     assert len(members) == 231
-    assert {f.symmetry for f in members} == {"ones", "prefix_ones"}
+    # profiles over all n bits and over a proper prefix
+    assert {len(f.count_profile()) == f.n + 1 for f in members} == {True, False}
     for f in members:
         copy = from_table(f.truth_table())
         assert f.total == copy.total

@@ -186,6 +186,22 @@ def test_decode_rejects_stable_values_other_than_0_and_1(value):
     assert err.value.lineno == at + 1
 
 
+def test_the_stable_line_is_a_checked_claim():
+    text = encode_program(build_det_counter(3, 4))
+    lines = text.splitlines()
+    assert lines[7] == "stable 1"
+    at = lines.index("level 2 symbol 0") + 1
+    lines[at] = "0 2 1"
+    with pytest.raises(ProgramFormatError) as err:
+        decode_program("\n".join(lines) + "\n")
+    assert err.value.lineno == 8
+    lines[7] = "stable 0"
+    assert not decode_program("\n".join(lines) + "\n").stable
+    # identical levels are stable whatever the line says
+    q = decode_program(text.replace("stable 1", "stable 0"))
+    assert q.stable and encode_program(q) == text
+
+
 def test_decode_rejects_oversized_dense_levels_at_the_widths_line():
     text = ("obddprogram 1\nkind nondeterministic\nn 2\norder 0 1\n"
             "widths 1 4000 4000\ninitial 0\naccept -\nstable 0\n")
@@ -331,7 +347,7 @@ def test_lift_keeps_the_number_of_distinct_level_objects(program):
 def stable_nobdd(n=4):
     t = level_relation([[0, 1], [1]], [[0], []], 2)
     return ObddProgram(kind="nondeterministic", order=natural_order(n), widths=(2,) * (n + 1),
-                       levels=(t,) * n, initial=0, accept=frozenset({1}), stable=True)
+                       levels=(t,) * n, initial=0, accept=frozenset({1}))
 
 
 STABLE = [build_det_mod(3, 6), stable_nobdd(), lift_deterministic(build_det_mod(3, 6)),
@@ -533,8 +549,9 @@ def reference_decode(text):
     lineno, toks = keyword("accept")
     accept = [] if toks == ["-"] else ints(lineno, toks, "accept")
     stable = int_line("stable")
+    stable_line = numbered[pos - 1][0]
     if stable not in (0, 1):
-        raise ProgramFormatError(numbered[pos - 1][0], f"stable must be 0 or 1, got {stable}")
+        raise ProgramFormatError(stable_line, f"stable must be 0 or 1, got {stable}")
 
     levels = []
     for j in range(1, n + 1):
@@ -566,8 +583,13 @@ def reference_decode(text):
     if pos < len(numbered):
         raise ProgramFormatError(numbered[pos][0], "content after 'end'")
     p = ObddProgram(kind=kind, order=order, widths=tuple(widths), levels=tuple(levels),
-                    initial=initial, accept=frozenset(accept), stable=bool(stable))
+                    initial=initial, accept=frozenset(accept))
     p.require_valid()
+    # the claim, checked level by level against level 1
+    if stable and (len(set(widths)) > 1 or
+                   any(not np.array_equal(t, levels[0]) for t in levels[1:])):
+        raise ProgramFormatError(
+            stable_line, "stable 1, but the levels are not one repeated transition pair")
     return p
 
 
