@@ -138,9 +138,8 @@ def _report_lines(report) -> str:
         f"method: {report.method}",
         f"per-level: {per}",
         f"max width: {report.max_width}",
+        "order: " + ",".join(map(str, report.order)),
     ]
-    if report.order is not None:
-        lines.append("order: " + ",".join(map(str, report.order)))
     return "\n".join(lines) + "\n"
 
 

@@ -30,6 +30,7 @@ from .core import (
     level_unitary,
     natural_order,
     pairing_order,
+    _integers,
     _relation,
     _stable_program,
 )
@@ -110,6 +111,7 @@ def build_quantum_partialmod(k: int, n: int) -> ObddProgram:
     ``cos(m * theta) ** 2``: exactly 1 when ``m = 0 mod 2**(k+1)`` and
     exactly 0 when ``m = 2**k mod 2**(k+1)``.
     """
+    k, n = _integers("k and n", (k, n))
     if k < 0:
         raise ValueError("k must be >= 0")
     t = level_unitary(np.eye(2, dtype=complex), _rotation(math.pi / (1 << (k + 1))))
@@ -119,6 +121,7 @@ def build_quantum_partialmod(k: int, n: int) -> ObddProgram:
 def build_det_counter(modulus: int, n: int) -> ObddProgram:
     """Stable ID counter mod ``modulus``: node = number of ones seen so far,
     accepting exactly residue 0."""
+    modulus, n = _integers("modulus and n", (modulus, n))
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     on0 = tuple(range(modulus))
@@ -128,6 +131,7 @@ def build_det_counter(modulus: int, n: int) -> ObddProgram:
 
 def build_det_partialmod(k: int, n: int) -> ObddProgram:
     """Width ``2**(k+1)`` deterministic counter computing ``PartialMOD(k, n)``."""
+    k, n = _integers("k and n", (k, n))
     if k < 0:
         raise ValueError("k must be >= 0")
     return build_det_counter(1 << (k + 1), n)
@@ -135,6 +139,7 @@ def build_det_partialmod(k: int, n: int) -> ObddProgram:
 
 def build_det_mod(k: int, n: int) -> ObddProgram:
     """Width-``k`` counter computing ``MOD(k, n)`` (requires 1 < k <= n/2)."""
+    k, n = _integers("k and n", (k, n))
     if not 1 < k <= n // 2:
         raise ValueError(f"MOD construction needs 1 < k <= n/2, got k = {k}, n = {n}")
     return build_det_counter(k, n)
@@ -199,6 +204,7 @@ def build_nobdd_noto_fingerprint(k: int, n: int) -> ObddProgram:
     Some branch accepts exactly when the prefix count differs from ``k/2``.
     Width after the fan-out level is the sum of the basis primes.
     """
+    k, n = _integers("k and n", (k, n))
     if k % 2 != 0 or not 1 < k <= n:
         raise ValueError(f"needs even k with 1 < k <= n, got k = {k}, n = {n}")
     primes = primes_for_fingerprint(k).primes
@@ -231,6 +237,7 @@ def build_nobdd_noteqs_fingerprint(k: int, n: int) -> ObddProgram:
     branch jumps to a shared always-accept node.  Odd levels double the
     state to remember the pending marker bit.
     """
+    k, n = _integers("k and n", (k, n))
     if k % 4 != 0 or not 4 <= k <= n:
         raise ValueError(f"needs k a multiple of 4 with 4 <= k <= n, got k = {k}, n = {n}")
     q = k // 4
@@ -279,6 +286,7 @@ def build_det_eqs(k: int, n: int) -> ObddProgram:
     Reading a value bit either extends the queue (its string is ahead) or
     compares it against the queue head; queues longer than ``k/4`` reject.
     """
+    k, n = _integers("k and n", (k, n))
     if k % 4 != 0 or not 4 <= k <= n:
         raise ValueError(f"needs k a multiple of 4 with 4 <= k <= n, got k = {k}, n = {n}")
     q = k // 4
@@ -320,6 +328,7 @@ def build_det_notpal(n: int) -> ObddProgram:
     moves to an absorbing accept node.  For odd ``n`` the middle bit is
     read last and ignored.
     """
+    n = _integers("n", (n,))[0]
     if n < 2:
         raise ValueError("n must be >= 2")
 
@@ -358,6 +367,7 @@ def build_quantum_nondet_noto(n: int) -> ObddProgram:
     ``sin((#ones - #zeros) * pi/(n+1))`` vanishes exactly on balanced
     inputs.  Judge with cutoff :func:`quantum_noto_cutoff`.
     """
+    n = _integers("n", (n,))[0]
     if n < 1:
         raise ValueError("n must be >= 1")
     phi = math.pi / (n + 1)

@@ -59,7 +59,8 @@ pair, and *ID* when its order is the natural one; a stable ID program of
 fixed width behaves like a realtime finite automaton.  Both are read off
 the program, as ``p.stable`` and ``p.order.is_id``; neither is set.
 
-All program objects are immutable; every operation here is a pure function
+All program objects are immutable and valid (:class:`ObddProgram` refuses
+an invalid one when it is built); every operation here is a pure function
 of its inputs.
 """
 
@@ -95,7 +96,7 @@ class ObddError(Exception):
 
 
 class InvalidProgramError(ObddError, ValueError):
-    """A program failed validation and was used anyway."""
+    """A program failed validation."""
 
 
 class ModeKindMismatchError(ObddError, ValueError):
@@ -200,48 +201,44 @@ def _pair(on0, on1, dtype) -> np.ndarray:
     return t.transpose(1, 2, 0)
 
 
-def _first_non_integer(values: list) -> int | None:
-    """Index of the first entry of ``values`` that is not an integer (a
-    bool is not one), or None.  The builders cast targets to ``intp``,
-    which would truncate a float, parse a string and read a bool as 1, or
-    use it as a boolean index."""
-    kinds = set(map(type, values))
-    if kinds <= {int} or all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
+def _first_non_integral(values: Sequence) -> int | None:
+    """Index of the first entry of ``values`` that is a bool or is not
+    equal to its ``int`` cast (a fraction, a string), or None; a whole
+    float such as ``2.0`` is integral.  Plain ints cost one type scan."""
+    if set(map(type, values)) <= {int}:
         return None
-    return next(i for i, u in enumerate(values)
-                if isinstance(u, bool) or not isinstance(u, (int, np.integer)))
+    for i, u in enumerate(values):
+        try:
+            if int(u) == u and not isinstance(u, (bool, np.bool_)):
+                continue
+        except (TypeError, ValueError, OverflowError):
+            pass
+        return i
+    return None
 
 
 def _integers(what: str, values: Iterable) -> tuple[int, ...]:
-    """``values`` as ints; ValueError naming ``what`` if a cast fails or
-    changes a value (it would truncate a float or parse a string), or a
-    value is a bool (read as 0 or 1).  Plain ints, the usual case, skip
-    the cast: the check then costs nothing."""
+    """``values`` as ints; ValueError naming ``what`` if one is not
+    integral (:func:`_first_non_integral`)."""
     values = tuple(values)
-    if set(map(type, values)) <= {int}:
-        return values
-    try:
-        ints = tuple(map(int, values))
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != values or not {bool, np.bool_}.isdisjoint(map(type, values)):
+    if _first_non_integral(values) is not None:
         raise ValueError(f"{what} must be integral, got {', '.join(map(repr, values))}")
-    return ints
+    return tuple(map(int, values))
 
 
 def level_map(on0: Iterable[int], on1: Iterable[int]) -> np.ndarray:
     """Deterministic level ``int[2, w_in]`` from two source-indexed target
-    lists; a target that is not an integer raises ValueError naming the
+    lists; a target that is not integral raises ValueError naming the
     first."""
     rows = list(on0), list(on1)
-    i = _first_non_integer(rows[0] + rows[1])
+    i = _first_non_integral(rows[0] + rows[1])
     if i is not None:
         sym, s = (0, i) if i < len(rows[0]) else (1, i - len(rows[0]))
         raise ValueError(f"symbol {sym}: node {s} maps to {rows[sym][s]!r}, not an integer")
     if len(rows[0]) != len(rows[1]):
         raise ValueError(f"symbol transitions disagree in shape: "
                          f"{(len(rows[0]),)} vs {(len(rows[1]),)}")
-    t = np.array(rows, dtype=np.intp, order="F")  # Fortran order is source-major here
+    t = np.array([list(map(int, r)) for r in rows], dtype=np.intp, order="F")  # source-major
     t.setflags(write=False)
     return t
 
@@ -250,7 +247,7 @@ def level_relation(on0: Iterable[Iterable[int]], on1: Iterable[Iterable[int]],
                    width: int) -> np.ndarray:
     """Nondeterministic level ``bool[2, width, w_in]`` from two source-indexed
     target-set lists; ``width`` is the size of the target level.  A target
-    that is not an integer, or not in ``0..width - 1``, raises ValueError
+    that is not integral, or not in ``0..width - 1``, raises ValueError
     naming the first in (symbol, source, listed) order."""
     width = _integers("width", (width,))[0]
     per_symbol = list(map(list, on0)), list(map(list, on1))
@@ -259,11 +256,11 @@ def level_relation(on0: Iterable[Iterable[int]], on1: Iterable[Iterable[int]],
     rows = per_symbol[0] + per_symbol[1]
     counts = list(map(len, rows))
     targets = list(itertools.chain.from_iterable(rows))
-    i = _first_non_integer(targets)
+    i = _first_non_integral(targets)
     if i is not None:
         sym, s = _row_of(counts, i)
         raise ValueError(f"symbol {sym}: node {s} maps to {targets[i]!r}, not an integer")
-    return _relation(counts, targets, width)
+    return _relation(counts, list(map(int, targets)), width)
 
 
 def _row_of(counts: Sequence[int], i: int) -> tuple[int, int]:
@@ -330,7 +327,8 @@ class ObddProgram:
         Accepting nodes in the final level.
 
     :attr:`stable` is not a parameter: it is read off the widths and the
-    levels.
+    levels.  A program that fails :func:`validate_program` raises
+    :class:`InvalidProgramError`, its violations joined by ``"; "``.
     """
 
     kind: str
@@ -356,6 +354,8 @@ class ObddProgram:
         object.__setattr__(self, "levels", tuple(map(arrays.__getitem__, map(id, self.levels))))
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
+        if violations := validate_program(self).violations:
+            raise InvalidProgramError("; ".join(violations))
 
     @property
     def n(self) -> int:
@@ -375,11 +375,6 @@ class ObddProgram:
             t is levels[0] or np.array_equal(levels[0], t) for t in levels[1:])
 
     @cached_property
-    def _validation(self) -> ValidationReport:
-        # programs are immutable, so the verdict is computed once
-        return validate_program(self)
-
-    @cached_property
     def _walk_levels(self) -> tuple:
         """The levels in the form :func:`_walk` steps, each distinct level
         object compiled once (:func:`_compile`)."""
@@ -388,10 +383,6 @@ class ObddProgram:
             if id(t) not in compiled:
                 compiled[id(t)] = _compile(self.kind, t)
         return tuple(compiled[id(t)] for t in self.levels)
-
-    def require_valid(self) -> None:
-        if not self._validation.ok:
-            raise InvalidProgramError("; ".join(self._validation.violations))
 
 
 def _stable_program(kind: str, n: int, level: np.ndarray, accept: Iterable[int]) -> ObddProgram:
@@ -620,7 +611,9 @@ def _check_level(kind: str, j: int, t: np.ndarray, w_in: int, w_out: int, out: l
 def validate_program(p: ObddProgram) -> ValidationReport:
     """Check every structural invariant of a program; never raises.
 
-    Returns a report listing violations: transition arrays of the wrong
+    It is the check :class:`ObddProgram` runs when it is built, so on any
+    built program it reports no violation.  Returns a report listing
+    violations: transition arrays of the wrong
     dtype or shape, non-finite entries or entries of modulus above 1,
     out-of-range targets,
     non-stochastic columns, non-unitary matrices, and out-of-range initial
@@ -699,7 +692,6 @@ def _walk(p: ObddProgram, bits: Bits) -> list:
     """States before and after every step on one input: node indices
     (deterministic), reachable node sets as bitmasks (nondeterministic) or
     state vectors (the vector kinds)."""
-    p.require_valid()
     x = parse_bits(bits, p.n)
     steps = p._walk_levels
     # the symbol consumed at step j is the input bit at tested position perm[j-1]
@@ -780,7 +772,6 @@ def acceptance_table(p: ObddProgram) -> np.ndarray:
     cube costs ``n`` vectorized steps on at most ``2**(n - n // 2)`` rows
     instead of ``n * 2**n`` scalar ones.
     """
-    p.require_valid()
     n = p.n
     if n > ENUMERATION_CAP:
         raise CapExceededError(f"exhaustive check needs n <= {ENUMERATION_CAP}, got {n}")
@@ -900,7 +891,7 @@ class WidthReport:
     per_level: tuple[int, ...]
     kind: str
     method: str
-    order: tuple[int, ...] | None = None
+    order: tuple[int, ...]
 
     def __post_init__(self):
         if self.kind not in ("exact", "lower_bound", "construction"):
@@ -912,19 +903,17 @@ class WidthReport:
 
 
 def program_width(p: ObddProgram) -> WidthReport:
-    """The level sizes ``w[0..n]`` of a valid program; the report's
+    """The level sizes ``w[0..n]`` of a program; the report's
     ``max_width``, over every level including level 0, is the width
     reports quote."""
-    p.require_valid()
     return WidthReport(p.widths, "construction", "level sizes", p.order.perm)
 
 
 def reachable_widths(p: ObddProgram) -> WidthReport:
-    """How many nodes per level some input reaches in a valid classical
+    """How many nodes per level some input reaches in a classical
     program, by stepping reachable sets through the batch kernel."""
     if p.kind not in ("deterministic", "nondeterministic"):
         raise ValueError("reachable_widths applies to deterministic/nondeterministic programs")
-    p.require_valid()
     reach = _start(p)
     counts = [1]
     for t in p.levels:
@@ -958,7 +947,6 @@ def nobdd_to_obdd_subset(p: ObddProgram) -> ObddProgram:
     """
     if p.kind != "nondeterministic":
         raise ValueError("subset construction applies to nondeterministic programs")
-    p.require_valid()
 
     subsets = _start(p)
     widths, maps = [1], []
@@ -1007,7 +995,6 @@ def lift_deterministic(p: ObddProgram) -> ObddProgram:
     lifts to one matrix pair, not one per level."""
     if p.kind != "deterministic":
         raise ValueError("lift applies to deterministic programs")
-    p.require_valid()
     lifted: dict[tuple[int, int], np.ndarray] = {}
     for t, w in zip(p.levels, p.widths[1:]):
         if (id(t), w) not in lifted:
@@ -1032,7 +1019,6 @@ def stable_symbol_chain(p: ObddProgram, symbol: int) -> np.ndarray:
         raise NotStableError("program is not stable: its level widths or transitions differ")
     if p.kind not in ("deterministic", "probabilistic"):
         raise ValueError(f"symbol chain is defined for classical chains, not {p.kind}")
-    p.require_valid()
     t = p.levels[0] if p.kind == "probabilistic" else _lift(p.levels[0], p.widths[0])
     return t[symbol].copy()
 

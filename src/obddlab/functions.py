@@ -66,6 +66,7 @@ def split_marker_value(bits: Bits, k: int) -> MarkerValueSplit:
     bit ``2i``: marker 0 routes the value bit to ``alpha``, marker 1 to
     ``beta``.  Bits past position ``k`` are ignored.
     """
+    k = _integers("k", (k,))[0]
     x = parse_bits(bits)
     if k % 4 != 0 or k < 4:
         raise ValueError(f"k must be a positive multiple of 4, got {k}")

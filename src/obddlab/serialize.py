@@ -27,12 +27,12 @@ source listing its target set (``-`` for the empty set); probabilistic
 levels are the matrix, one row per line; quantum levels likewise with
 entries written ``re,im``.  Numbers use 17 significant digits, so float
 round trips are exact; classical programs round-trip bit-exactly.
-Decoding validates the program and reports the offending level; the
-verdict is kept on the program, so later checks on it do not repeat it.
-The ``stable`` line is written from :attr:`~obddlab.core.ObddProgram.stable`,
-which is read off the levels.  On decoding, ``stable 1`` is a claim that
-is checked once the program validates: levels that do not repeat one
-transition pair fail at the ``stable`` line.  ``stable 0`` claims nothing.
+Decoding builds the program, and a program is validated when it is built,
+so an invalid one raises naming the offending level.  The ``stable`` line
+is written from :attr:`~obddlab.core.ObddProgram.stable`, which is read
+off the levels.  On decoding, ``stable 1`` is a claim that is checked once
+the program validates: levels that do not repeat one transition pair fail
+at the ``stable`` line.  ``stable 0`` claims nothing.
 
 Constructions repeat a few level arrays across many levels, and the codec
 keeps that sharing.  The encoder renders each distinct level object once
@@ -116,11 +116,10 @@ def _render(kind: str, t: np.ndarray) -> tuple[str, str]:
 
 
 def encode_program(p: ObddProgram) -> str:
-    """Render a validated program as a text document.
+    """Render a program as a text document.
 
     Each distinct level object is rendered once; a level that repeats it
     repeats its lines."""
-    p.require_valid()
     out = [
         _MAGIC,
         f"kind {p.kind}",
@@ -277,7 +276,6 @@ def decode_program(text: str) -> ObddProgram:
         kind=kind, order=order, widths=tuple(widths), levels=tuple(levels),
         initial=initial, accept=frozenset(accept),
     )
-    p.require_valid()
     if stable and not p.stable:
         raise ProgramFormatError(stable_line, "stable 1, but the levels are not one "
                                               "repeated transition pair")

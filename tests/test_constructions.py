@@ -34,6 +34,7 @@ from obddlab.functions import (
     not_pal,
     partial_mod,
 )
+from obddlab.serialize import encode_program
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,22 @@ BUILT = [
 @pytest.mark.parametrize("program", BUILT, ids=lambda p: p.kind + str(p.n))
 def test_builders_produce_valid_programs(program):
     assert validate_program(program).ok
+
+
+@pytest.mark.parametrize("build, sizes", [
+    (build_quantum_partialmod, (1, 4)), (build_det_counter, (3, 4)),
+    (build_det_partialmod, (1, 4)), (build_det_mod, (2, 10)),
+    (build_nobdd_noto_fingerprint, (4, 8)), (build_nobdd_noteqs_fingerprint, (4, 8)),
+    (build_det_eqs, (4, 8)), (build_det_notpal, (6,)), (build_quantum_nondet_noto, (4,)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_builder_sizes_must_be_integral(build, sizes):
+    want = encode_program(build(*sizes))
+    for i, size in enumerate(sizes):
+        for bad in (size + 0.5, True):
+            with pytest.raises(ValueError, match="must be integral"):
+                build(*sizes[:i], bad, *sizes[i + 1:])
+        # an integral float reads as its int
+        assert encode_program(build(*sizes[:i], float(size), *sizes[i + 1:])) == want
 
 
 # one array per kind of level: fan-out/first, then the repeated kinds, then

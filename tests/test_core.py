@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -103,38 +104,37 @@ def test_bad_stochastic_column_is_reported_with_level_and_column():
         level_stochastic(good, good),
         level_stochastic(bad, good),
     )
-    p = ObddProgram(
-        kind="probabilistic", order=natural_order(3), widths=(2,) * 4,
-        levels=levels, initial=0, accept=frozenset({0}),
-    )
-    report = validate_program(p)
-    assert not report.ok
-    assert any("level 3" in v and "column 0" in v and "0.9" in v for v in report.violations)
+    with pytest.raises(InvalidProgramError, match=r"^level 3 symbol 0: column 0 sums to 0\.9$"):
+        ObddProgram(
+            kind="probabilistic", order=natural_order(3), widths=(2,) * 4,
+            levels=levels, initial=0, accept=frozenset({0}),
+        )
 
 
 def test_non_unitary_matrix_is_reported():
     half = np.full((2, 2), 0.5, dtype=complex)
-    p = ObddProgram(
-        kind="quantum", order=natural_order(1), widths=(2, 2),
-        levels=(level_unitary(half, half),), initial=0, accept=frozenset({0}),
-    )
-    report = validate_program(p)
-    assert any("not unitary" in v for v in report.violations)
+    message = "level 1 symbol {}: not unitary (max |U*U - I| = 0.5)"
+    with pytest.raises(InvalidProgramError,
+                       match=f"^{re.escape(message.format(0) + '; ' + message.format(1))}$"):
+        ObddProgram(
+            kind="quantum", order=natural_order(1), widths=(2, 2),
+            levels=(level_unitary(half, half),), initial=0, accept=frozenset({0}),
+        )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_matrix_entries_are_reported(bad):
     m = np.array([[bad, 0.0], [bad, 1.0]])
-    stochastic = ObddProgram(
-        kind="probabilistic", order=natural_order(1), widths=(2, 2),
-        levels=(level_stochastic(m, np.eye(2)),), initial=0, accept=frozenset({0}),
-    )
-    unitary = ObddProgram(
-        kind="quantum", order=natural_order(1), widths=(2, 2),
-        levels=(level_unitary(np.eye(2), m),), initial=0, accept=frozenset({0}),
-    )
-    assert validate_program(stochastic).violations == ("level 1 symbol 0: non-finite entries",)
-    assert validate_program(unitary).violations == ("level 1 symbol 1: non-finite entries",)
+    with pytest.raises(InvalidProgramError, match="^level 1 symbol 0: non-finite entries$"):
+        ObddProgram(
+            kind="probabilistic", order=natural_order(1), widths=(2, 2),
+            levels=(level_stochastic(m, np.eye(2)),), initial=0, accept=frozenset({0}),
+        )
+    with pytest.raises(InvalidProgramError, match="^level 1 symbol 1: non-finite entries$"):
+        ObddProgram(
+            kind="quantum", order=natural_order(1), widths=(2, 2),
+            levels=(level_unitary(np.eye(2), m),), initial=0, accept=frozenset({0}),
+        )
 
 
 @pytest.mark.parametrize("kind, big", [("probabilistic", 1e308), ("quantum", 1e200)])
@@ -143,33 +143,31 @@ def test_huge_finite_matrix_entries_are_reported_without_overflow(kind, big):
     # matrix would overflow
     m = np.array([[big, big], [big, -big]])
     make = level_stochastic if kind == "probabilistic" else level_unitary
-    p = ObddProgram(
-        kind=kind, order=natural_order(1), widths=(2, 2),
-        levels=(make(m, np.eye(2)),), initial=0, accept=frozenset({0}),
-    )
-    assert validate_program(p).violations == ("level 1 symbol 0: entries of modulus above 1",)
+    with pytest.raises(InvalidProgramError,
+                       match="^level 1 symbol 0: entries of modulus above 1$"):
+        ObddProgram(
+            kind=kind, order=natural_order(1), widths=(2, 2),
+            levels=(make(m, np.eye(2)),), initial=0, accept=frozenset({0}),
+        )
 
 
 def test_dimension_chain_mismatch_is_reported():
-    p = ObddProgram(
-        kind="deterministic", order=natural_order(2), widths=(1, 2, 2),
-        levels=(level_map([0], [1]), level_map([0], [1])),  # level 2 source dim 1 != 2
-        initial=0, accept=frozenset({0}),
-    )
-    report = validate_program(p)
-    assert any("level 2" in v and "source dimension" in v for v in report.violations)
+    with pytest.raises(InvalidProgramError, match="^level 2: source dimension 1 != width 2$"):
+        ObddProgram(
+            kind="deterministic", order=natural_order(2), widths=(1, 2, 2),
+            levels=(level_map([0], [1]), level_map([0], [1])),  # level 2 source dim 1 != 2
+            initial=0, accept=frozenset({0}),
+        )
 
 
 def test_out_of_range_targets_accept_and_initial_are_reported():
-    p = ObddProgram(
-        kind="deterministic", order=natural_order(1), widths=(1, 2),
-        levels=(level_map([5], [0]),), initial=3, accept=frozenset({7}),
-    )
-    report = validate_program(p)
-    text = " / ".join(report.violations)
-    assert "maps to 5" in text
-    assert "initial node 3" in text
-    assert "accepting nodes [7]" in text
+    message = ("initial node 3 outside 0..0; accepting nodes [7] outside 0..1; "
+               "level 1 symbol 0: node 0 maps to 5 outside 0..1")
+    with pytest.raises(InvalidProgramError, match=f"^{re.escape(message)}$"):
+        ObddProgram(
+            kind="deterministic", order=natural_order(1), widths=(1, 2),
+            levels=(level_map([5], [0]),), initial=3, accept=frozenset({7}),
+        )
 
 
 @pytest.mark.parametrize("build, message", [
@@ -214,12 +212,12 @@ def test_integral_widths_and_nodes_are_stored_as_int():
 
 
 def test_kind_transition_shape_mismatch_is_reported():
-    p = ObddProgram(
-        kind="probabilistic", order=natural_order(1), widths=(2, 2),
-        levels=(level_map([0, 1], [1, 0]),), initial=0, accept=frozenset({0}),
-    )
-    assert any("map transition in a probabilistic" in v
-               for v in validate_program(p).violations)
+    with pytest.raises(InvalidProgramError,
+                       match="^level 1: map transition in a probabilistic program$"):
+        ObddProgram(
+            kind="probabilistic", order=natural_order(1), widths=(2, 2),
+            levels=(level_map([0, 1], [1, 0]),), initial=0, accept=frozenset({0}),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +312,15 @@ def test_builders_take_numpy_integer_targets():
     assert t.tolist() == [[1, 0], [0, 1]]
 
 
+def test_builders_take_whole_float_targets_as_ints():
+    # the rule _integers applies to widths and nodes: 1.0 is the integer 1
+    assert level_map([1.0], [np.float64(0.0)]).tolist() == [[1], [0]]
+    t = level_relation([[1.0]], [[0]], 2)
+    assert t[:, :, 0].tolist() == [[False, True], [True, False]]
+    with pytest.raises(ValueError, match=r"^symbol 0: node 0 maps to 5 outside 0\.\.1$"):
+        level_relation([[5.0]], [[0]], 2)
+
+
 def test_structural_equality_compares_each_level_of_a_repeated_array():
     # one array object at every level; the copy differs at level 2 alone
     same = level_map([1, 0], [0, 1])
@@ -354,12 +361,13 @@ def test_parse_bits_reads_strings_and_sequences():
 
 
 def test_simulate_refuses_invalid_program():
-    p = ObddProgram(
-        kind="deterministic", order=natural_order(1), widths=(1, 1),
-        levels=(level_map([4], [0]),), initial=0, accept=frozenset(),
-    )
-    with pytest.raises(InvalidProgramError):
-        simulate(p, "1")
+    # the program simulate would refuse cannot be built
+    with pytest.raises(InvalidProgramError,
+                       match=r"^level 1 symbol 0: node 0 maps to 4 outside 0\.\.0$"):
+        ObddProgram(
+            kind="deterministic", order=natural_order(1), widths=(1, 1),
+            levels=(level_map([4], [0]),), initial=0, accept=frozenset(),
+        )
 
 
 def test_nondeterministic_simulation_is_path_existence():

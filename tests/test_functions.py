@@ -89,6 +89,13 @@ def test_split_marker_value_parameter_checks():
         split_marker_value("01", 4)
 
 
+def test_split_marker_value_takes_an_integral_k():
+    for bad in (4.5, True):
+        with pytest.raises(ValueError, match="^k must be integral"):
+            split_marker_value("01110000", bad)
+    assert split_marker_value("01110000", 4.0) == split_marker_value("01110000", 4)
+
+
 # ---------------------------------------------------------------------------
 # count profiles
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import io
 import itertools
 import math
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -294,14 +296,13 @@ def test_walk_matches_the_batch_kernel_past_one_machine_word(p):
 @settings(max_examples=60, deadline=None)
 def test_walk_refuses_invalid_programs_and_bad_bits(p, data):
     traces = [simulate, state_trace if p.kind in ("probabilistic", "quantum") else node_trace]
-    broken = ObddProgram(kind=p.kind, order=p.order, widths=p.widths, levels=p.levels,
-                         initial=p.widths[0], accept=p.accept)
     message = f"initial node {p.widths[0]} outside 0..{p.widths[0] - 1}"
-    assert validate_program(broken).violations == (message,)
+    # the program the walk would refuse cannot be built
+    with pytest.raises(InvalidProgramError, match=f"^{message}$"):
+        ObddProgram(kind=p.kind, order=p.order, widths=p.widths, levels=p.levels,
+                    initial=p.widths[0], accept=p.accept)
     bits = "".join(data.draw(st.sampled_from("01")) for _ in range(p.n))
     for run in traces:
-        with pytest.raises(InvalidProgramError, match=f"^{message}$"):
-            run(broken, bits)
         with pytest.raises(ValueError, match=f"^input length {p.n + 1} != n = {p.n}$"):
             run(p, bits + "0")
         with pytest.raises(ValueError, match="^input bits must be 0 or 1$"):
@@ -310,6 +311,45 @@ def test_walk_refuses_invalid_programs_and_bad_bits(p, data):
         with pytest.raises(ValueError, match=f"^input {re.escape(repr(bad))} contains "
                                              "non-binary symbols$"):
             run(p, bad)
+
+
+#: what a validation message calls a transition array of each kind
+TRANSITION_NAMES = {"deterministic": "map", "nondeterministic": "relation",
+                    "probabilistic": "stochastic", "quantum": "unitary"}
+
+
+@given(st.sampled_from(KINDS).flatmap(programs), st.data())
+@settings(max_examples=120, deadline=None)
+def test_a_program_broken_in_one_field_cannot_be_built(p, data):
+    n, w = p.n, p.widths
+    field = data.draw(st.sampled_from(["initial", "accept", "widths", "levels"]))
+    if field == "initial":
+        value, rule = w[0], rf"initial node {w[0]} outside 0\.\.{w[0] - 1}"
+    elif field == "accept":
+        value, rule = p.accept | {w[n]}, rf"accepting nodes \[{w[n]}\] outside 0\.\.{w[n] - 1}"
+    elif field == "widths":
+        # a width some array's shape fixes: a map has no target axis, so
+        # no deterministic level fixes the last width
+        j = data.draw(st.integers(0, n - 1 if p.kind == "deterministic" else n))
+        value = w[:j] + (w[j] + data.draw(st.sampled_from([1, -1] if w[j] > 1 else [1])),) \
+            + w[j + 1:]
+        rule = r"level \d+: (source|target) dimension \d+ != width \d+"
+    else:
+        j = data.draw(st.integers(1, n))
+        other = data.draw(st.sampled_from([k for k in KINDS if k != p.kind]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        value = p.levels[:j - 1] + (random_level(data.draw, rng, other, w[j - 1], w[j]),) \
+            + p.levels[j:]
+        rule = rf"level {j}: {TRANSITION_NAMES[other]} transition in a {p.kind} program"
+    fields = {f: getattr(p, f) for f in ("kind", "order", "widths", "levels", "initial", "accept")}
+    fields[field] = value
+    with pytest.raises(InvalidProgramError) as err:
+        if data.draw(st.booleans()):
+            replace(p, **{field: value})
+        else:
+            ObddProgram(**fields)
+    assert type(err.value) is InvalidProgramError
+    assert re.search(rule, str(err.value)), (rule, str(err.value))
 
 
 @given(st.sampled_from(["deterministic", "nondeterministic"]).flatmap(programs))
@@ -1008,3 +1048,20 @@ def test_mutated_truth_tables_fail_only_with_value_errors(f, data):
     except ValueError:
         return
     assert g.n >= 1 and g.truth_table().shape == (1 << g.n,)
+
+
+def test_a_failing_property_is_reported_not_an_internal_error(tmp_path):
+    """Under the project's pytest settings a failing ``@given`` test ends
+    the run with exit code 1 (tests failed), not 3 (internal error): the
+    warning filters must let hypothesis load what it reports with."""
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
