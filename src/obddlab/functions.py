@@ -139,13 +139,13 @@ def _profile_codes(profile: Iterable[int | None]) -> np.ndarray:
 
 
 def _table_from_count_profile(n: int, profile: Sequence[int | None]) -> np.ndarray:
-    # row s of t holds codes[s + popcount(x)] over the x seen so far: each
-    # pass puts a new high bit in front, 0 from row s and 1 from row s + 1,
-    # so after n passes the one row left is the table (no index array)
-    t = _profile_codes(profile)[:, None]
-    for _ in range(n):
-        t = np.concatenate([t[:-1], t[1:]], axis=1)
-    return t[0]
+    # input hi << low | lo has popcount(hi) + popcount(lo) ones: row c holds
+    # codes[c + popcount(lo)] over the low bits, and one gather takes row
+    # popcount(hi) for each high half, so the table is the only 2**n array
+    low = n - n // 2
+    ones = np.bitwise_count(np.arange(1 << low))
+    rows = _profile_codes(profile)[np.arange(n // 2 + 1)[:, None] + ones]
+    return rows[ones[:1 << n // 2]].reshape(-1)
 
 
 def _table_from_prefix_values(n: int, k: int, prefix_values: np.ndarray) -> np.ndarray:

@@ -79,19 +79,37 @@ of programs says which of its 64 programs have that edge.  The reachable
 node sets of 64 programs after one prefix are ``w`` words, the bit-planes
 ``X[u]``; a step on ``sym`` is ``Y[u] = OR_s X[s] & E[s, sym, u]``, the
 bit-parallel automaton simulation of Baeza-Yates & Gonnet (CACM 35(10),
-1992) run across programs.  Doubling the prefixes ``n`` times gives every
-program's final planes on every input, in truth-table order.  Some
-accepting set makes a program compute ``f`` iff every 1-input's final set
-holds a node that no 0-input's final set holds: with ``forbidden[u]`` the
-OR of the 0-inputs' planes, a program is feasible iff its bit survives the
-AND over the 1-inputs of ``OR_u F[u] & ~forbidden[u]``.  The lowest
-feasible program is returned, accepting at the nodes some 1-input reaches
-and no 0-input does.  A chunk of ``K`` words holds ``w * 2**n * K`` words
-of planes; chunks stay under about ``_SEARCH_STATES`` of them (2 MB).
+1992) run across programs.  Some accepting set makes a program compute
+``f`` iff every 1-input's final set holds a node that no 0-input's final
+set holds: with ``forbidden[u]`` the OR of the 0-inputs' planes, a program
+is feasible iff its bit survives the AND over the 1-inputs of
+``OR_u F[u] & ~forbidden[u]``.
+
+The search runs in two phases, the refutation step of counterexample-
+guided synthesis (Solar-Lezama et al., ASPLOS 2006).  Phase 1 steps every
+word through a small sample of defined inputs only, all at once: the
+sample's prefix tree, one level per bit, each level's prefixes grouped by
+the symbol read.  It drops the words in which every program has a sampled
+1-input whose set lies inside the union of the sampled 0-inputs' sets.
+That is sound: the sampled union lies inside the full ``forbidden``, so
+such a program is infeasible on the whole table.  Each sample of
+``_REFUTE_SAMPLES`` steps only the words the ones before it left.
+Phase 1 runs only where the full check of every program would hold more
+than ``_REFUTE_PLANES`` words of planes, and not on the first, small chunk
+of programs, where the full check alone finds an early hit fastest.
+Phase 2, the full check above, doubles the prefixes ``n`` times over the
+words left, which gives every program's final planes on every input in
+truth-table order.  It takes those words in index order, in batches that
+start small and double, and the first batch with a feasible program
+returns its lowest one, accepting at the nodes some 1-input reaches and no
+0-input does.  Dropping only infeasible words keeps every feasible
+program, so the program returned is the first feasible one of the whole
+enumeration, as without phase 1.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -611,10 +629,24 @@ def minimal_obdd(f: FunctionSpec, order: VariableOrder | None = None,
 # exhaustive search over stable ID programs
 # ---------------------------------------------------------------------------
 
-#: the first chunk of the stable search holds about this many pairs of a
-#: program and an input; later chunks double, up to about this many words
-#: in one chunk's array of bit-planes
+#: the first chunk of the stable search, and the first batch of its full
+#: check, hold about this many pairs of a program and an input; later
+#: batches double, up to about this many words in one batch's array of
+#: bit-planes, and a chunk holds up to this many words of planes of phase
+#: 1's largest sample
 _SEARCH_STATES = 1 << 18
+#: phase 1 runs only where the full check of every program would hold more
+#: than this many words of planes: on a smaller space a sample's fixed
+#: cost, n levels of numpy calls, is not repaid by the words it refutes
+_REFUTE_PLANES = _SEARCH_STATES
+#: phase 1's samples: so many defined inputs of each value, spread evenly
+#: over the table; each steps only the words the ones before it left
+_REFUTE_SAMPLES = (2, 6)
+#: with phase 1, each chunk is this many times the one before: phase 1
+#: takes about an eighth of the full check's time per word (nondeterministic
+#: width 3 at n = 6), so an early hit costs it about what doubling costs
+#: the full check
+_REFUTE_GROWTH = 8
 
 
 def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str) -> ObddProgram | None:
@@ -623,14 +655,22 @@ def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str) -> ObddProg
     Enumerates every transition pair (``w**(2w)`` deterministic maps or
     ``2**(2*w*w)`` relations) with initial node 0 -- exhaustive up to node
     relabeling -- 64 programs to a ``uint64`` word: bit ``i`` of word ``k``
-    is program ``64*k + i`` (module docstring).  Every program's reachable
-    set after every input is held as ``w`` bit-planes.  The first chunk is
-    ``_SEARCH_STATES >> max(n, w)`` programs rounded up to whole words;
-    each later one doubles, up to about ``_SEARCH_STATES`` words in the
-    ``w * 2**n`` planes of a chunk (2 MB at the default), so an early hit
-    stops after a small chunk and a full scan takes a few.  Returns the
-    first program in index order that computes ``f``, accepting at the
-    nodes some 1-input reaches and no 0-input reaches, or None.
+    is program ``64*k + i`` (module docstring), in chunks taken in index
+    order.  The first chunk is ``_SEARCH_STATES >> max(n, w)`` programs
+    rounded up to whole words, and goes straight to the full check, so an
+    early hit stops after a small chunk.  On spaces past
+    ``_REFUTE_PLANES``, each later chunk is ``_REFUTE_GROWTH`` times the
+    one before, up to ``_SEARCH_STATES`` words of planes of the largest
+    sample of ``_REFUTE_SAMPLES``, and phase 1 drops its words in which
+    the samples refute every program; elsewhere later chunks double.
+    Phase 2, the full check, steps the words left through every input in
+    batches that start at the first chunk's size and double, up to about
+    ``_SEARCH_STATES`` words of final planes (2 MB at the default), and
+    its last doubling step peaks near three times that.  So a search that
+    phase 1 leaves no full batch peaks near 2 MB, and one with a full
+    batch near 6 MB.  Returns the first program in index order that
+    computes ``f``, accepting at the nodes some 1-input reaches and no
+    0-input reaches, or None.
     """
     n = f.n
     if n > _STABLE_N_CAP:
@@ -647,25 +687,98 @@ def stable_exhaustive_search(f: FunctionSpec, width: int, kind: str) -> ObddProg
     count = w ** (2 * w) if kind == "deterministic" else 1 << (2 * w * w)
     words = -(-count // 64)
     size = -(-max(1, _SEARCH_STATES >> max(n, w)) // 64)
-    bound = max(1, _SEARCH_STATES // (w << n))
+    batch = max(1, _SEARCH_STATES // (w << n))
+    refute = words * (w << n) > _REFUTE_PLANES
+    span = max(1, _SEARCH_STATES // (2 * w * max(1, *_REFUTE_SAMPLES))) if refute else batch
+    samples = []
+    chunk = min(size, batch)
     first = 0
     while first < words:
-        last = min(first + min(size, bound), words)
-        planes = _final_planes(_edge_planes(kind, w, first, last), n)
-        forbidden = np.bitwise_or.reduce(planes[no], axis=0)
-        allowed = planes[yes] & ~forbidden
-        # a bit p past the last program decodes as program p % count, which
-        # comes first, so it is never the lowest feasible bit
-        feasible = np.bitwise_and.reduce(np.bitwise_or.reduce(allowed, axis=1), axis=0)
-        hit = np.flatnonzero(feasible)
-        if hit.size:
-            k = int(hit[0])
-            word = int(feasible[k])
-            i = (word & -word).bit_length() - 1
-            accept = np.bitwise_or.reduce(allowed[:, :, k], axis=0) >> i & 1
-            return _enumerated_program(kind, w, n, 64 * (first + k) + i, np.flatnonzero(accept))
-        first, size = last, 2 * size
+        last = min(first + chunk, words)
+        edges = _edge_planes(kind, w, first, last)
+        kept = np.arange(first, last)
+        if refute and first:  # the first chunk is too small for phase 1 to pay
+            samples = samples or [_sample_tree(yes, no, n, m) for m in _REFUTE_SAMPLES]
+            for plan, value in samples:
+                if kept.size:
+                    alive = np.flatnonzero(_survivors(edges, plan, value))
+                    edges, kept = edges.take(alive, axis=-1), kept[alive]
+        chunk = min(chunk * (_REFUTE_GROWTH if refute else 2), span)
+        at = 0
+        while at < kept.size:
+            part = edges[..., at:at + min(size, batch)]
+            allowed, feasible = _feasible(_final_planes(part, n), yes, no)
+            # a bit p past the last program decodes as program p % count,
+            # which comes first and survives phase 1 as it does, so it is
+            # never the lowest feasible bit
+            hit = np.flatnonzero(feasible)
+            if hit.size:
+                k = int(hit[0])
+                word = int(feasible[k])
+                i = (word & -word).bit_length() - 1
+                accept = np.bitwise_or.reduce(allowed[:, :, k], axis=0) >> i & 1
+                return _enumerated_program(kind, n, part[..., k] >> np.uint64(i) & 1,
+                                           np.flatnonzero(accept))
+            at, size = at + part.shape[-1], 2 * size
+        first = last
     return None
+
+
+def _sample_tree(yes: np.ndarray, no: np.ndarray, n: int, m: int):
+    """Up to ``m`` defined inputs of each value, spread evenly over the
+    table, as the prefix tree phase 1 steps.  The rows of level ``j + 1``
+    are the sampled prefixes of ``j + 1`` bits that end in 0, then those
+    that end in 1, each in the order of the level-``j`` rows they extend;
+    ``plan[j]`` holds those rows' parents, one array per symbol.  Returns
+    the plan and, per leaf, whether it is a 1-input."""
+    # keyed by the input's bits reversed: the low j bits of a key are its
+    # j-bit prefix reversed, and their order is the row order of level j
+    value = {}
+    for v, mask in ((True, yes), (False, no)):
+        idx = np.flatnonzero(mask)
+        for x in idx[np.linspace(0, idx.size - 1, min(m, idx.size)).round().astype(int)].tolist():
+            value[int(f"{x:0{n}b}"[::-1], 2)] = v
+    keys = sorted(value)
+    plan, rows = [], {0: 0}
+    for j in range(n):
+        level = sorted({key & ((2 << j) - 1) for key in keys})
+        parents = [rows[key & ((1 << j) - 1)] for key in level]
+        ones = bisect.bisect_left(level, 1 << j)
+        plan.append((np.array(parents[:ones], dtype=np.intp),
+                     np.array(parents[ones:], dtype=np.intp)))
+        rows = {key: r for r, key in enumerate(level)}
+    return plan, np.array([value[key] for key in keys], dtype=bool)
+
+
+def _survivors(edges: np.ndarray, plan, value: np.ndarray) -> np.ndarray:
+    """Per word of ``edges``, the programs that the check, run on the
+    sample alone, finds feasible: bit ``i`` is clear when a sampled
+    1-input's reachable set lies inside the union of the sampled 0-inputs'
+    sets.  ``plan`` and ``value`` are a :func:`_sample_tree`; each level
+    steps the rows that read 0, then those that read 1."""
+    w, _, _, size = edges.shape
+    planes = np.zeros((1, w, size), dtype=np.uint64)
+    planes[0, 0] = ~np.uint64(0)  # every program starts at node 0
+    for parents in plan:
+        step = np.empty((parents[0].size + parents[1].size, w, size), dtype=np.uint64)
+        at = 0
+        for sym, rows in enumerate(parents):
+            x, y = planes[rows], step[at:at + rows.size]
+            np.bitwise_and(x[:, 0, None], edges[0, sym], out=y)
+            for s in range(1, w):
+                y |= x[:, s, None] & edges[s, sym]
+            at += rows.size
+        planes = step
+    return _feasible(planes, value, ~value)[1]
+
+
+def _feasible(planes: np.ndarray, yes: np.ndarray, no: np.ndarray):
+    """The check of the module docstring on the final planes of the inputs
+    ``yes`` and ``no`` pick out: per 1-input, the planes of the nodes it
+    reaches and no 0-input does; per word, the programs in which every
+    1-input has one."""
+    allowed = planes[yes] & ~np.bitwise_or.reduce(planes[no], axis=0)
+    return allowed, np.bitwise_and.reduce(np.bitwise_or.reduce(allowed, axis=1), axis=0)
 
 
 def _edge_planes(kind: str, w: int, first: int, last: int) -> np.ndarray:
@@ -675,9 +788,10 @@ def _edge_planes(kind: str, w: int, first: int, last: int) -> np.ndarray:
     target are one contiguous block."""
     d = np.arange(2 * w).reshape(2, w).T  # d[s, sym] = sym*w + s
     if kind == "deterministic":  # the successor is the base-w digit d
-        p = np.arange(64 * first, 64 * last, dtype=np.int64)
-        digits = p // w ** d[..., None] % w
-        edge = digits[:, :, None] == np.arange(w)[:, None]
+        # uint32, as numpy divides it several times faster than int64
+        p = np.arange(64 * first, 64 * last, dtype=np.uint32)
+        digits = p // (w ** d[..., None]).astype(np.uint32) % w
+        edge = digits[:, :, None] == np.arange(w, dtype=np.uint32)[:, None]
         return np.packbits(edge, axis=-1, bitorder="little").view("<u8")
     # the edge is bit b = w*d + u of 64*k | i: below bit 6 a bit of the
     # lane i, one fixed pattern per b; from bit 6 up a bit of 64*k, which
@@ -703,10 +817,11 @@ def _final_planes(edges: np.ndarray, n: int) -> np.ndarray:
     return planes
 
 
-def _enumerated_program(kind: str, w: int, n: int, p: int, accept: np.ndarray) -> ObddProgram:
-    """Stable program ``p`` of the enumeration, read off its bit of the
-    edge planes, accepting at the nodes ``accept``."""
-    edges = _edge_planes(kind, w, p // 64, p // 64 + 1)[..., 0] >> np.uint64(p % 64) & 1
+def _enumerated_program(kind: str, n: int, edges: np.ndarray, accept: np.ndarray) -> ObddProgram:
+    """The stable program whose edge ``s -> u`` on ``sym`` is set in
+    ``edges[s, sym, u]`` (one program's bit of the edge planes), accepting
+    at the nodes ``accept``."""
+    w = edges.shape[0]
     on = [[np.flatnonzero(edges[s, sym]).tolist() for s in range(w)] for sym in (0, 1)]
     if kind == "deterministic":
         level = level_map(*([succ for (succ,) in row] for row in on))

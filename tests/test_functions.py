@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -160,13 +161,33 @@ def test_eqs_prefix_values_match_the_split_marker_value_loop(k):
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 11, 16])
+@pytest.mark.parametrize("n", range(1, 23))
 def test_count_profile_tables_index_the_codes_by_popcount(n):
     codes = np.random.default_rng(n).integers(0, 3, n + 1).astype(np.int8)
     profile = [None if c == STAR else int(c) for c in codes]
     got = _table_from_count_profile(n, profile)
     assert got.dtype == np.int8
-    assert got.tolist() == [int(codes[bin(i).count("1")]) for i in range(1 << n)]
+    assert np.array_equal(got, codes[np.bitwise_count(np.arange(1 << n))])
+    if n <= 11:
+        assert got.tolist() == [int(codes[bin(i).count("1")]) for i in range(1 << n)]
+
+
+@pytest.mark.parametrize("k, n", [(2, 3), (4, 9), (6, 16), (12, 20), (10, 22)])
+def test_not_ok_tables_index_the_codes_by_the_prefix_popcount(k, n):
+    codes = np.array([int(2 * m != k) for m in range(k + 1)], dtype=np.int8)
+    table = not_o_prefix(k, n).truth_table()
+    assert np.array_equal(table, codes[np.bitwise_count(np.arange(1 << n) >> (n - k))])
+
+
+def test_a_count_table_is_its_only_table_sized_allocation():
+    f = mod_count(5, 22)
+    tracemalloc.start()
+    try:
+        table = f.truth_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * table.nbytes
 
 
 def _closed_forms(max_n):

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,18 @@ def test_stable_search_caps():
         stable_exhaustive_search(f, 4, "nondeterministic")
     with pytest.raises(ValueError):
         stable_exhaustive_search(f, 2, "quantum")
+
+
+def test_stable_search_peaks_under_4_mib():
+    f = partial_mod(1, 6)
+    f.truth_table()
+    tracemalloc.start()
+    try:
+        assert stable_exhaustive_search(f, 3, "nondeterministic") is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_subset_bound_cross_check():

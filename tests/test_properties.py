@@ -775,15 +775,44 @@ def table_of(text):
     return from_table(np.array([STAR if c == "*" else int(c) for c in text], dtype=np.int8))
 
 
-@given(stable_search_cases())
+# these spaces are 1-12 words, so phase 1 runs only where a test forces it
+# on, here with samples of no input, one input of each value and every
+# defined input (no table here has 2**16 of one value)
+@pytest.mark.parametrize("samples", [None, (0,), (1,), (1 << 16,)],
+                         ids=["default", "no sample", "one of each", "every input"])
+@given(case=stable_search_cases())
 # the found program's 1-inputs also reach node 0, which a 0-input reaches,
 # so the accepting set is {1}, not every node a 1-input reaches
-@example((table_of("0111"), 2, "nondeterministic"))
+@example(case=(table_of("0111"), 2, "nondeterministic"))
 @settings(max_examples=80, deadline=None)
-def test_stable_search_matches_the_brute_force_reference(case):
+def test_stable_search_matches_the_brute_force_reference(samples, case):
     f, w, kind = case
-    found = oracles.stable_exhaustive_search(f, w, kind)
+    with pytest.MonkeyPatch.context() as patch:
+        if samples is not None:
+            patch.setattr(oracles, "_REFUTE_PLANES", 0)
+            patch.setattr(oracles, "_REFUTE_SAMPLES", samples)
+        found = oracles.stable_exhaustive_search(f, w, kind)
     assert_found_as_reference(found, reference_stable_search(f, w, kind), f, w, kind)
+
+
+@given(case=stable_search_cases(), m=st.sampled_from([0, 1, 2, 6, 1 << 16]))
+@settings(max_examples=60, deadline=None)
+def test_phase_one_keeps_every_feasible_program(case, m):
+    """On one chunk of the whole space, every program the full check finds
+    feasible survives phase 1, and with every defined input sampled the two
+    agree lane for lane."""
+    f, w, kind = case
+    table = f.truth_table()
+    yes, no = table == 1, table == 0
+    count = w ** (2 * w) if kind == "deterministic" else 1 << (2 * w * w)
+    edges = oracles._edge_planes(kind, w, 0, -(-count // 64))
+    planes = oracles._final_planes(edges, f.n)
+    forbidden = np.bitwise_or.reduce(planes[no], axis=0)
+    feasible = np.bitwise_and.reduce(np.bitwise_or.reduce(planes[yes] & ~forbidden, axis=1), axis=0)
+    kept = oracles._survivors(edges, *oracles._sample_tree(yes, no, f.n, m))
+    assert not (feasible & ~kept).any()
+    if m == 1 << 16:
+        assert np.array_equal(kept, feasible)
 
 
 @pytest.mark.parametrize("kind", ["deterministic", "nondeterministic"])
@@ -814,29 +843,75 @@ def test_stable_search_matches_product_states_on_width_3_program_tables(f):
     assert_found_as_reference(found, want, f, 3, "nondeterministic")
 
 
+def enumeration_index(p):
+    """The index of a stable program in the search's enumeration: base-w
+    digit ``sym*w + s`` is the successor of node ``s`` on ``sym``, or bit
+    ``w*(sym*w + s) + u`` says whether ``u`` is one (oracles docstring)."""
+    level, w = p.levels[0], p.widths[0]
+    if p.kind == "deterministic":
+        return sum(int(level[sym, s]) * w ** (sym * w + s) for sym in (0, 1) for s in range(w))
+    return sum(1 << w * (sym * w + s) + u
+               for sym in (0, 1) for s in range(w) for u in range(w) if level[sym, u, s])
+
+
 # No table has its first hit at index 63 or 64 of these spaces: each of
 # those programs has a lower one that computes what it computes.  Nor in the
 # last, partial word of the 729 deterministic width-3 programs (from 704):
 # swapping nodes 1 and 2 maps each of them to a lower program.
-@pytest.mark.parametrize("f, w, kind", [
-    (partial_mod(0, 4), 2, "deterministic"),  # found at index 6, in the space's one word
-    (partial_mod(0, 4), 2, "nondeterministic"),  # index 105
-    (table_of("1111000011111111"), 2, "nondeterministic"),  # index 62, in the first word
-    (table_of("0000010000000000"), 2, "nondeterministic"),  # index 66, in the second
-    (table_of("0001"), 3, "deterministic"),  # index 85, in the second word
-    (mod_count(3, 6), 3, "deterministic"),  # index 200
-    (table_of("0000000100000001"), 3, "deterministic"),  # index 619, the highest hit
-    (partial_mod(1, 5), 2, "nondeterministic"),  # none
-])
-def test_chunked_stable_search_matches_one_chunk(f, w, kind, monkeypatch):
+CHUNKED_CASES = [  # a table, a width, a kind and the index of the first hit
+    (partial_mod(0, 4), 2, "deterministic", 6),  # in the space's one word
+    (partial_mod(0, 4), 2, "nondeterministic", 105),
+    (table_of("1111000011111111"), 2, "nondeterministic", 62),  # in the first word
+    (table_of("0000010000000000"), 2, "nondeterministic", 66),  # in the second
+    (table_of("0001"), 3, "deterministic", 85),  # in the second word
+    (mod_count(3, 6), 3, "deterministic", 200),
+    (table_of("0000000100000001"), 3, "deterministic", 619),  # the highest hit
+    (partial_mod(1, 5), 2, "nondeterministic", None),
+]
+
+
+@pytest.mark.parametrize("f, w, kind, index", CHUNKED_CASES)
+def test_chunked_stable_search_matches_one_chunk(f, w, kind, index, monkeypatch):
     whole = oracles.stable_exhaustive_search(f, w, kind)
     # a first chunk of one 64-program word, so hits past index 63 land in
     # later chunks
     monkeypatch.setattr(oracles, "_SEARCH_STATES", 3 << max(f.n, w))
     chunked = oracles.stable_exhaustive_search(f, w, kind)
+    assert (whole is None) == (chunked is None) == (index is None)
+    if whole is not None:
+        assert enumeration_index(whole) == index
+        assert encode_program(whole) == encode_program(chunked)
+
+
+@pytest.mark.parametrize("f, w, kind, index", CHUNKED_CASES)
+def test_phase_one_survivors_checked_in_batches_match_one_chunk(f, w, kind, index, monkeypatch):
+    whole = oracles.stable_exhaustive_search(f, w, kind)
+    # a first chunk of one word, then phase 1 on a sample of one input of
+    # each value, which leaves many words, and a full check of one or two
+    # words at a time at first
+    monkeypatch.setattr(oracles, "_SEARCH_STATES", 3 << max(f.n, w))
+    monkeypatch.setattr(oracles, "_REFUTE_PLANES", 0)
+    monkeypatch.setattr(oracles, "_REFUTE_SAMPLES", (1,))
+    refuted, batches = [], []
+    survivors, full_check = oracles._survivors, oracles._final_planes
+
+    def refute(*args):
+        refuted.append(1)
+        return survivors(*args)
+
+    def check(edges, n):
+        if refuted:
+            batches.append(edges.shape[-1])
+        return full_check(edges, n)
+
+    monkeypatch.setattr(oracles, "_survivors", refute)
+    monkeypatch.setattr(oracles, "_final_planes", check)
+    chunked = oracles.stable_exhaustive_search(f, w, kind)
     assert (whole is None) == (chunked is None)
     if whole is not None:
         assert encode_program(whole) == encode_program(chunked)
+    # a hit in word 0 is found before phase 1, one in word 1 in its first batch
+    assert len(batches) > 1 or index is not None and index < 128
 
 
 def reference_classes(f, order):
