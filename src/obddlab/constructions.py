@@ -13,6 +13,11 @@ and one step rule per kind of level, mapping a label and a symbol to the
 successor label(s).  :func:`_layered` numbers the labels, builds one
 transition array per distinct (source layer, target layer, rule), so
 repeated levels share one array, and reads the widths off the layers.
+
+Each builder but :func:`build_det_counter`, whose modulus no family states,
+builds its family's spec (:mod:`obddlab.functions`) and reads ``k`` and
+``n`` back from it: it refuses what the family refuses, with the family's
+``ValueError``, so :func:`build_det_notpal` starts at ``n = 1``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import functions as fz
 from .core import (
     ObddProgram,
     VariableOrder,
@@ -80,6 +86,7 @@ def _iter_primes(odd_only: bool):
 
 def primes_for_fingerprint(bound: int, odd_only: bool = False) -> PrimeBasis:
     """The fewest leading primes (optionally skipping 2) with product > bound."""
+    bound = _integers("bound", (bound,))[0]
     if bound < 1:
         raise ValueError("bound must be >= 1")
     primes: list[int] = []
@@ -111,11 +118,9 @@ def build_quantum_partialmod(k: int, n: int) -> ObddProgram:
     ``cos(m * theta) ** 2``: exactly 1 when ``m = 0 mod 2**(k+1)`` and
     exactly 0 when ``m = 2**k mod 2**(k+1)``.
     """
-    k, n = _integers("k and n", (k, n))
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    t = level_unitary(np.eye(2, dtype=complex), _rotation(math.pi / (1 << (k + 1))))
-    return _stable_program("quantum", n, t, {0})
+    f = fz.partial_mod(k, n)
+    t = level_unitary(np.eye(2, dtype=complex), _rotation(math.pi / (1 << (f.k + 1))))
+    return _stable_program("quantum", f.n, t, {0})
 
 
 def build_det_counter(modulus: int, n: int) -> ObddProgram:
@@ -131,18 +136,14 @@ def build_det_counter(modulus: int, n: int) -> ObddProgram:
 
 def build_det_partialmod(k: int, n: int) -> ObddProgram:
     """Width ``2**(k+1)`` deterministic counter computing ``PartialMOD(k, n)``."""
-    k, n = _integers("k and n", (k, n))
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return build_det_counter(1 << (k + 1), n)
+    f = fz.partial_mod(k, n)
+    return build_det_counter(1 << (f.k + 1), f.n)
 
 
 def build_det_mod(k: int, n: int) -> ObddProgram:
     """Width-``k`` counter computing ``MOD(k, n)`` (requires 1 < k <= n/2)."""
-    k, n = _integers("k and n", (k, n))
-    if not 1 < k <= n // 2:
-        raise ValueError(f"MOD construction needs 1 < k <= n/2, got k = {k}, n = {n}")
-    return build_det_counter(k, n)
+    f = fz.mod_count(k, n)
+    return build_det_counter(f.k, f.n)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +205,8 @@ def build_nobdd_noto_fingerprint(k: int, n: int) -> ObddProgram:
     Some branch accepts exactly when the prefix count differs from ``k/2``.
     Width after the fan-out level is the sum of the basis primes.
     """
-    k, n = _integers("k and n", (k, n))
-    if k % 2 != 0 or not 1 < k <= n:
-        raise ValueError(f"needs even k with 1 < k <= n, got k = {k}, n = {n}")
+    f = fz.not_o_prefix(k, n)
+    k, n = f.k, f.n
     primes = primes_for_fingerprint(k).primes
     residues = [(p, c) for p in primes for c in range(p)]
 
@@ -237,9 +237,8 @@ def build_nobdd_noteqs_fingerprint(k: int, n: int) -> ObddProgram:
     branch jumps to a shared always-accept node.  Odd levels double the
     state to remember the pending marker bit.
     """
-    k, n = _integers("k and n", (k, n))
-    if k % 4 != 0 or not 4 <= k <= n:
-        raise ValueError(f"needs k a multiple of 4 with 4 <= k <= n, got k = {k}, n = {n}")
+    f = fz.not_eqs(k, n)
+    k, n = f.k, f.n
     q = k // 4
     primes = primes_for_fingerprint(1 << q, odd_only=True).primes
     # weight of the j-th bit of a routed string, per prime
@@ -286,9 +285,8 @@ def build_det_eqs(k: int, n: int) -> ObddProgram:
     Reading a value bit either extends the queue (its string is ahead) or
     compares it against the queue head; queues longer than ``k/4`` reject.
     """
-    k, n = _integers("k and n", (k, n))
-    if k % 4 != 0 or not 4 <= k <= n:
-        raise ValueError(f"needs k a multiple of 4 with 4 <= k <= n, got k = {k}, n = {n}")
+    f = fz.eqs(k, n)
+    k, n = f.k, f.n
     q = k // 4
     strings = [c for length in range(1, q + 1) for c in itertools.product((0, 1), repeat=length)]
     even = [("A", c) for c in strings] + [("B", c) for c in strings] + [("EQ",), ("REJ",)]
@@ -326,11 +324,9 @@ def build_det_notpal(n: int) -> ObddProgram:
     Mirrored positions are read back to back: the first bit of a pair is
     remembered (two nodes) and compared against the second; any mismatch
     moves to an absorbing accept node.  For odd ``n`` the middle bit is
-    read last and ignored.
+    read last and ignored, so at ``n = 1``, with no pair, the width is 2.
     """
-    n = _integers("n", (n,))[0]
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = fz.not_pal(n).n
 
     def open_pair(state, b):
         return state if state == "ACC" else f"S{b}"
@@ -367,9 +363,7 @@ def build_quantum_nondet_noto(n: int) -> ObddProgram:
     ``sin((#ones - #zeros) * pi/(n+1))`` vanishes exactly on balanced
     inputs.  Judge with cutoff :func:`quantum_noto_cutoff`.
     """
-    n = _integers("n", (n,))[0]
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = fz.not_o(n).n
     phi = math.pi / (n + 1)
     t = level_unitary(_rotation(-phi), _rotation(phi))
     return _stable_program("quantum", n, t, {1})

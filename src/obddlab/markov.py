@@ -18,9 +18,9 @@ distinguishes, with bounded error, input lengths that differ in their count
 of ones mod ``2**(k+1)``, then the least common multiple ``D`` of its class
 periods must be divisible by ``2**(k+1)`` -- otherwise the acceptance
 probability along the all-ones tail converges on a ``D``-periodic schedule
-that cannot separate the two residue classes.  Moreover some single class
-period must be divisible by ``2**(k+1)`` (powers of two in an lcm come from
-one term), which forces at least ``2**(k+1)`` states.
+that cannot separate the two residue classes.  Then some single class
+period is divisible by ``2**(k+1)`` (powers of two in an lcm come from one
+term), and the certificate is one search for that witness class.
 
 Boolean matrix products serve only reachability, which splits the states
 into classes.  Periods and cyclic subsets come from the structure of
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STRUCT_TOL
+from .core import STRUCT_TOL, _integers
 
 #: matrix entries above this count as edges of the transition digraph
 EDGE_TOL = 1e-12
@@ -176,29 +176,25 @@ def period_lcm_certificate(dec: MarkovDecomposition, k: int) -> CertificateResul
     """Check the necessary condition for a stable chain to separate counts
     mod ``2**(k+1)`` with bounded error.
 
-    Passes iff the lcm ``D`` of the class periods is a multiple of
-    ``2**(k+1)`` *and* some single class period is: then that class alone
-    has at least ``2**(k+1)`` states.
+    One search for the witness, the first class whose period is a multiple
+    of ``2**(k+1)``; that class alone has at least ``2**(k+1)`` states.  A
+    power of two divides the lcm ``D`` of the periods only if it divides
+    one of them, so the search fails exactly when ``D`` is not a multiple.
     """
+    k = _integers("k", (k,))[0]
     if k < 0:
         raise ValueError("k must be >= 0")
     required = 1 << (k + 1)
     d = dec.period_lcm
-    if d % required != 0:
+    witness = next((i for i, t in enumerate(dec.periods) if t % required == 0), None)
+    if witness is None:
         return CertificateResult(
             passed=False, required_multiple=required, period_lcm=d,
             reason=f"lcm of periods D = {d} is not a multiple of {required}",
         )
-    for i, t in enumerate(dec.periods):
-        if t % required == 0:
-            return CertificateResult(
-                passed=True, required_multiple=required, period_lcm=d,
-                witness_class=i,
-                reason=f"class {i} has period {t}, a multiple of {required}",
-            )
     return CertificateResult(
-        passed=False, required_multiple=required, period_lcm=d,
-        reason=f"no single class period is a multiple of {required}",
+        passed=True, required_multiple=required, period_lcm=d, witness_class=witness,
+        reason=f"class {witness} has period {dec.periods[witness]}, a multiple of {required}",
     )
 
 

@@ -104,7 +104,10 @@ start small and double, and the first batch with a feasible program
 returns its lowest one, accepting at the nodes some 1-input reaches and no
 0-input does.  Dropping only infeasible words keeps every feasible
 program, so the program returned is the first feasible one of the whole
-enumeration, as without phase 1.
+enumeration, as without phase 1.  The two phases step inputs in two ways
+because each is the cheaper one where it runs: doubling steps both symbols
+of every row with one broadcast per source, while the prefix tree gathers
+its rows per symbol, which costs more once every input is stepped.
 """
 
 from __future__ import annotations
@@ -598,7 +601,7 @@ def _partial_min_width_witness(f, order, class_cap: int):
                 ),
                 (levels, witness, order),
             )
-    raise AssertionError("partition search failed to terminate(unreachable)")
+    raise AssertionError("partition search failed to terminate (unreachable)")
 
 
 def minimal_obdd(f: FunctionSpec, order: VariableOrder | None = None,

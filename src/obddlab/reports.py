@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 
 from . import constructions as cons
 from . import functions as fz
-from .core import CapExceededError, program_width, stable_symbol_chain
+from .core import CapExceededError, program_width, stable_symbol_chain, _integers
 from .markov import classify_states, period_lcm_certificate
 from .oracles import (
     partial_min_width_exact,
@@ -97,8 +97,9 @@ def _verdict(holds: bool) -> str:
 
 def report_separation_quantum_classical(k: int, n: int) -> ReportTable:
     """Exact quantum width 2 versus the classical width floor 2**(k+1)."""
-    f_name = f"PartialMOD(k={k}, n={n})"
     f = fz.partial_mod(k, n)
+    k, n = f.k, f.n
+    f_name = f"PartialMOD(k={k}, n={n})"
     oracle = partial_min_width_exact(f)
     floor = 1 << (k + 1)
     rows = []
@@ -148,8 +149,9 @@ def report_separation_quantum_classical(k: int, n: int) -> ReportTable:
 
 def report_separation_nondet(n: int) -> ReportTable:
     """Quantum nondeterministic constant width versus classical growth."""
-    f_name = f"NotO(n={n})"
     f = fz.not_o(n)
+    n = f.n
+    f_name = f"NotO(n={n})"
     oracle = subfunction_widths(f)
     nobdd_floor = max(1, math.ceil(math.log2(oracle.max_width)))
     rows = []
@@ -180,6 +182,7 @@ def report_separation_nondet(n: int) -> ReportTable:
 
 def report_hierarchy_small(d_min: int = 2, d_max: int = 8) -> ReportTable:
     """Strict width steps at small widths, one row per modulus d (n = 2d)."""
+    d_min, d_max = _integers("d_min and d_max", (d_min, d_max))
     if d_min > d_max:
         raise ValueError(f"empty modulus range: d_min = {d_min} > d_max = {d_max}")
     rows = []
@@ -200,6 +203,7 @@ def report_hierarchy_small(d_min: int = 2, d_max: int = 8) -> ReportTable:
 
 def report_hierarchy_large(d: int = 11, n: int = 12) -> ReportTable:
     """Strict step from width floor(d/8)-1 to width d via shuffled equality."""
+    d, n = _integers("d and n", (d, n))
     k = 4 * math.ceil(math.log2(d + 5)) - 12
     f_name = f"EQS(k={k}, n={n})"
     lower = 1 << (k // 4)
@@ -230,6 +234,7 @@ def report_hierarchy_large(d: int = 11, n: int = 12) -> ReportTable:
 
 def report_markov_analysis(k: int, n: int | None = None) -> ReportTable:
     """Period certificates for the exact-width counter and a one-narrower one."""
+    k = _integers("k", (k,))[0]
     m = 1 << (k + 1)
     if n is None:
         n = 2 * m

@@ -2,9 +2,11 @@ import io
 
 import pytest
 
+from obddlab import AcceptanceMode, computes, lift_deterministic
 from obddlab.cli import main
-from obddlab.functions import format_truth_table, partial_mod
-from obddlab.serialize import decode_program
+from obddlab.constructions import build_det_counter
+from obddlab.functions import format_truth_table, mod_count, partial_mod
+from obddlab.serialize import decode_program, encode_program
 
 
 def run(capsys, *argv):
@@ -91,6 +93,48 @@ def test_minwidth_stable_search(capsys):
     assert code == 0 and out.startswith("none")
 
 
+@pytest.mark.parametrize("options, method, order", [
+    (("--order", "pairing"), "distinct subfunctions", "0,5,1,4,2,3"),
+    (("--order", "5,0,4,1,3,2"), "distinct subfunctions", "5,0,4,1,3,2"),
+    (("--oracle", "subfunctions", "--order", "pairing"), "distinct subfunctions",
+     "0,5,1,4,2,3"),
+    (("--oracle", "min-over-orders"), "bottleneck path", "0,5,1,4,2,3"),
+], ids=["pairing", "comma list", "subfunctions", "min-over-orders"])
+def test_minwidth_orders_and_oracles_on_a_total_function(capsys, options, method, order):
+    # NotPAL(6) has width 3 under the pairing order and under its mirror image
+    code, out, _ = run(capsys, "minwidth", "--function", "notpal", "--n", "6", *options)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].startswith(f"method: {method}")
+    assert "max width: 3" in lines and f"order: {order}" in lines
+
+
+def test_minwidth_stable_search_writes_the_program_it_finds(tmp_path, capsys):
+    out_file = tmp_path / "found.obdd"
+    code, out, _ = run(capsys, "minwidth", "--function", "mod", "--k", "3", "--n", "6",
+                       "--oracle", "stable-search", "--width", "3", "--out", str(out_file))
+    assert code == 0 and out.startswith("found: stable ID deterministic program of width 3")
+    program = decode_program(out_file.read_text())
+    assert computes(program, mod_count(3, 6), AcceptanceMode.deterministic()).ok
+
+
+def test_verify_bounded_error_on_a_lifted_counter(tmp_path, capsys):
+    prog = tmp_path / "lifted.obdd"
+    prog.write_text(encode_program(lift_deterministic(build_det_counter(3, 6))))
+    code, out, _ = run(capsys, "verify", str(prog), "--function", "mod", "--k", "3",
+                       "--n", "6", "--mode", "bounded-error", "--epsilon", "0.25")
+    assert code == 0 and out.startswith("yes") and "bounded-error mode" in out
+
+
+def test_verify_without_a_function_or_table_exits_1(tmp_path, capsys):
+    prog = tmp_path / "p.obdd"
+    run(capsys, "build", "--function", "mod", "--model", "deterministic",
+        "--k", "3", "--n", "6", "--out", str(prog))
+    code, out, err = run(capsys, "verify", str(prog), "--mode", "deterministic")
+    assert code == 1 and out == ""
+    assert "--function and --n (or --table) are required" in err
+
+
 def test_minwidth_accepts_truth_table_files(tmp_path, capsys):
     table = tmp_path / "f.tt"
     table.write_text(format_truth_table(partial_mod(1, 6)))
@@ -134,6 +178,15 @@ def test_markov_verdict_exit_codes(tmp_path, capsys):
         "--k", "3", "--n", "6", "--out", str(bad))
     code, out, _ = run(capsys, "markov", str(bad), "--symbol", "1", "--k", "1")
     assert code == 2 and "fail" in out
+
+
+def test_markov_without_k_classifies_only(tmp_path, capsys):
+    prog = tmp_path / "p.obdd"
+    run(capsys, "build", "--function", "mod", "--model", "deterministic",
+        "--k", "3", "--n", "6", "--out", str(prog))
+    code, out, _ = run(capsys, "markov", str(prog))
+    assert code == 0
+    assert out.splitlines()[-1] == "period lcm D = 3" and "certificate" not in out
 
 
 def test_build_determinize_agrees_with_nondeterministic_original(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -64,6 +65,17 @@ def test_prime_basis_rejects_bad_bound():
         primes_for_fingerprint(0)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, "7"])
+def test_prime_basis_bound_must_be_integral(bad):
+    with pytest.raises(ValueError, match="^bound must be integral"):
+        primes_for_fingerprint(bad)
+
+
+def test_prime_basis_reads_a_whole_float_bound_as_int():
+    basis = primes_for_fingerprint(7.0)
+    assert basis == primes_for_fingerprint(7) and type(basis.bound) is int
+
+
 # ---------------------------------------------------------------------------
 # every builder validates
 # ---------------------------------------------------------------------------
@@ -99,6 +111,30 @@ def test_builder_sizes_must_be_integral(build, sizes):
                 build(*sizes[:i], bad, *sizes[i + 1:])
         # an integral float reads as its int
         assert encode_program(build(*sizes[:i], float(size), *sizes[i + 1:])) == want
+
+
+FAMILY_OF = [
+    (build_quantum_partialmod, partial_mod), (build_det_partialmod, partial_mod),
+    (build_det_mod, mod_count), (build_nobdd_noto_fingerprint, not_o_prefix),
+    (build_det_eqs, eqs), (build_nobdd_noteqs_fingerprint, not_eqs),
+    (build_det_notpal, not_pal), (build_quantum_nondet_noto, not_o),
+]
+
+
+def _refusal(call, *args):
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("build, family", FAMILY_OF, ids=lambda v: v.__name__)
+def test_builders_refuse_what_their_family_refuses(build, family):
+    arity = 1 if family in (not_pal, not_o) else 2
+    sizes = (-1, 0, 1, 2, 3, 4, 5, 8, 4.0, 2.5, True, "4")
+    for args in itertools.product(sizes, repeat=arity):
+        assert _refusal(build, *args) == _refusal(family, *args), args
 
 
 # one array per kind of level: fan-out/first, then the repeated kinds, then
@@ -292,7 +328,11 @@ def test_notpal_width_is_3(n):
     assert program_width(build_det_notpal(n)).max_width == 3
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
+def test_notpal_at_one_bit_has_width_2():
+    assert program_width(build_det_notpal(1)).max_width == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
 def test_notpal_computes_exhaustively(n):
     assert computes(build_det_notpal(n), not_pal(n), AcceptanceMode.deterministic()).ok
 

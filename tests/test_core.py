@@ -220,6 +220,26 @@ def test_kind_transition_shape_mismatch_is_reported():
         )
 
 
+SWAP = level_map([0, 1], [1, 0])
+ISOMETRY = level_unitary(np.eye(3, 2), np.eye(3, 2))  # passes the Gram test
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(widths=(2, 2)), "expected 3 level widths, got 2"),
+    (dict(widths=(2, 0, 2)), "level widths must be positive"),
+    (dict(levels=(SWAP,)), "expected 2 level transitions, got 1"),
+    (dict(levels=(np.zeros((2, 2, 2), dtype=int), SWAP)),
+     "level 1: transition array of shape (2, 2, 2), expected (2, 2)"),
+    (dict(kind="quantum", order=natural_order(1), widths=(2, 3), levels=(ISOMETRY,)),
+     "level 1: unitary must be square, got (3, 2)"),
+], ids=["width count", "zero width", "level count", "rank", "isometry"])
+def test_malformed_widths_and_levels_are_reported(fields, message):
+    program = dict(kind="deterministic", order=natural_order(2), widths=(2, 2, 2),
+                   levels=(SWAP, SWAP), initial=0, accept=frozenset({0}))
+    with pytest.raises(InvalidProgramError, match=f"^{re.escape(message)}$"):
+        ObddProgram(**{**program, **fields})
+
+
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -175,6 +177,36 @@ def test_lcm_divisibility_implies_a_single_witness_class():
 def test_certificate_rejects_negative_k():
     with pytest.raises(ValueError):
         period_lcm_certificate(classify_states(np.eye(2)), -1)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "1"])
+def test_certificate_k_must_be_integral(bad):
+    with pytest.raises(ValueError, match="^k must be integral"):
+        period_lcm_certificate(classify_states(np.eye(2)), bad)
+
+
+def test_certificate_witness_is_the_first_class_whose_period_is_a_multiple():
+    # the certificate reads the periods only, so classes of one state each
+    # stand for chains with these periods
+    for size in (1, 2, 3):
+        for periods in itertools.product(range(1, 13), repeat=size):
+            dec = MarkovDecomposition(
+                transient=frozenset(),
+                ergodic_classes=tuple(frozenset({i}) for i in range(size)),
+                periods=periods, cyclic_subsets=((),) * size,
+            )
+            d = math.lcm(*periods)
+            for k in range(4):
+                required = 1 << (k + 1)
+                witnesses = [i for i, t in enumerate(periods) if t % required == 0]
+                cert = period_lcm_certificate(dec, k)
+                assert (cert.required_multiple, cert.period_lcm) == (required, d)
+                assert cert.passed == (d % required == 0) == bool(witnesses)
+                if witnesses:
+                    assert cert.witness_class == witnesses[0]
+                else:
+                    assert cert.witness_class is None
+                    assert cert.reason == f"lcm of periods D = {d} is not a multiple of {required}"
 
 
 # ---------------------------------------------------------------------------

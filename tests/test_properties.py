@@ -635,6 +635,28 @@ def test_order_search_report_matches_the_permutation_loop(values):
         best.per_level, best.max_width, best.order)
 
 
+@given(st.integers(2, 5).flatmap(
+    lambda n: st.lists(st.sampled_from([0, 1, STAR]), min_size=1 << n, max_size=1 << n)))
+@settings(max_examples=25, deadline=None)
+def test_order_search_on_a_partial_asymmetric_table_tries_every_order(values):
+    """A partial table that :func:`oracles._symmetric` rejects gets the
+    report of the first order of least width under the partition search,
+    and ``minimal_obdd`` under that order computes it at that width."""
+    table = np.array(values, dtype=np.int8)
+    n = table.size.bit_length() - 1
+    assume(STAR in table and not oracles._symmetric(table, n))
+    f = from_table(table)
+    best = min((partial_min_width_exact(f, VariableOrder(n, perm))
+                for perm in itertools.permutations(range(n))),
+               key=lambda report: report.max_width)
+    report = oracles.min_width_over_orders(f)
+    assert (report.per_level, report.order) == (best.per_level, best.order)
+    assert "per-order partition search" in report.method
+    program = minimal_obdd(f, VariableOrder(n, report.order))
+    assert program_width(program).max_width == report.max_width
+    assert computes(program, f, AcceptanceMode.deterministic()).ok
+
+
 @given(random_tables(codes=[0, 1, 2]))
 @settings(max_examples=25, deadline=None)
 def test_minimal_program_for_random_partial_tables(f):

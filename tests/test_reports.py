@@ -1,9 +1,10 @@
 import csv
+import inspect
 import io
 
 import pytest
 
-from obddlab.reports import HOLDS, run_report
+from obddlab.reports import HOLDS, REPORT_TASKS, run_report
 
 
 def csv_cells(table):
@@ -103,3 +104,30 @@ def test_constructed_widths_are_rederived_live():
 def test_unknown_task_is_rejected():
     with pytest.raises(ValueError):
         run_report("separation-everything")
+
+
+# small sizes for every parameter of every report task
+TASK_SIZES = {
+    "separation-quantum-classical": {"k": 1, "n": 6},
+    "separation-nondet": {"n": 6},
+    "hierarchy-small": {"d_min": 2, "d_max": 3},
+    "hierarchy-large": {"d": 11, "n": 12},
+    "markov-analysis": {"k": 1, "n": 8},
+}
+SIZE_CASES = [(task, name) for task, sizes in TASK_SIZES.items() for name in sizes]
+
+
+def test_task_sizes_name_every_parameter():
+    assert {task: list(sizes) for task, sizes in TASK_SIZES.items()} == {
+        task: list(inspect.signature(run).parameters) for task, run in REPORT_TASKS.items()}
+
+
+@pytest.mark.parametrize("task, name", SIZE_CASES, ids=[f"{t}-{n}" for t, n in SIZE_CASES])
+def test_report_sizes_must_be_integral(task, name):
+    sizes = TASK_SIZES[task]
+    for bad in (True, sizes[name] + 0.5, str(sizes[name])):
+        with pytest.raises(ValueError, match="must be integral"):
+            run_report(task, **{**sizes, name: bad})
+    # a whole float reads as its int, in the title as in the rows
+    want, got = run_report(task, **sizes), run_report(task, **{**sizes, name: float(sizes[name])})
+    assert (got.title, got.to_csv()) == (want.title, want.to_csv())
